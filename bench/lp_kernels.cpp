@@ -1,118 +1,230 @@
-// LP kernel microbenchmark — solver kernel paths on the Fig. 2(a)
-// 200-task cell (50 devices, 5 stations, max input 3000 kB).
+// LP kernel microbenchmark on the Fig. 2(a) 200-task cell (50 devices,
+// 5 stations, max input 3000 kB).
 //
-// Times three kernel comparisons:
-//   - interior point (LP-HTA end to end): dense normal equations vs CSR
-//     assembly + cached symbolic Cholesky (docs/lp-kernels.md),
-//   - simplex pricing (LP-HTA end to end): dense column scans vs CSC
-//     sparse pricing (bit-identical pivot sequence by construction, so
-//     the timing is the only delta),
-//   - simplex basis kernel: the historical explicit dense inverse
-//     (BasisKernel::kDenseInverse, O(m²)/pivot) vs the sparse LU +
-//     eta-file kernel (BasisKernel::kEtaLu, O(nnz)/pivot).
+// The solvers ship one kernel each; the dense comparators live in the
+// test-only reference library (tests/lp/reference). Three arms:
 //
-// The basis-kernel headline is measured on the cell's *monolithic* P2
-// relaxation — the per-station cluster LPs of build_cluster_lp merged
-// block-diagonally into one problem (the formulation the paper actually
-// states; the per-station decomposition is a solver-side optimization).
-// The decomposed cluster LPs are only ~50 rows each, small enough that a
-// vectorized dense m² update keeps pace with sparse ops, so the kernel
-// asymptotics only show at the undecomposed cell scale (m in the
-// hundreds). End-to-end LP-HTA is still timed with both kernels below,
-// and *identical assignments* across every kernel pair are asserted here,
-// not just in the unit tests, so a kernel regression that changes results
-// fails the bench before any timing is read.
+//   - normal equations (ipm_speedup): factor + solve of M = A·D·Aᵀ for the
+//     standard form of every per-station cluster LP, over a fixed ladder of
+//     Mehrotra-like scalings D. Dense reference: O(m²n) assembly + dense
+//     Cholesky. Production: NormalCholesky over the cached symbolic
+//     analysis (computed once per LP, as the IPM does, outside the timing).
+//   - basis kernel (basis_kernel_speedup): the dense reference inverse vs
+//     the eta-file LU over one column-replacement sequence (BasisReplay)
+//     on the cell's *monolithic* P2 relaxation — the per-station cluster
+//     LPs merged block-diagonally, m in the hundreds. Each step does what
+//     a simplex pivot asks of the kernel: FTRAN the entering column, BTRAN
+//     the duals, replace the column, refactorize on the solver's schedule.
+//   - cluster pivots (cluster_pivots_per_second): simplex pivot throughput
+//     on the per-cluster LPs LP-HTA actually solves. The monolithic-LP
+//     throughput stays reported as lu_pivots_per_second.
+//
+// assignments_identical asserts that LP-HTA's plan for the cell does not
+// depend on the pricing rule or on repetition; kernels_agree asserts that
+// both arms' kernels returned the same solves. Either failing fails the
+// bench before any timing is read.
 //
 // Emits BENCH_lp_kernels.json (override with MECSCHED_BENCH_OUT) in the
 // unified mecsched.bench.v1 schema for the CI kernel-bench step, which
-// gates the speedups against bench/baselines/lp_kernels.json via
+// gates it against bench/baselines/lp_kernels.json via
 // tools/bench/trajectory.py.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <iostream>
+#include <memory>
 #include <vector>
 
 #include "assign/cluster_lp.h"
 #include "assign/hta_instance.h"
 #include "assign/lp_hta.h"
 #include "bench/bench_common.h"
+#include "common/rng.h"
+#include "lp/basis_lu.h"
 #include "lp/problem.h"
+#include "lp/reference/basis_dense.h"
+#include "lp/reference/basis_replay.h"
+#include "lp/reference/cholesky.h"
+#include "lp/reference/matrix.h"
 #include "lp/simplex.h"
 #include "lp/sparse_cholesky.h"
+#include "lp/standard_form.h"
 #include "obs/registry.h"
 #include "workload/scenario.h"
 
 namespace {
 
-using mecsched::assign::Assignment;
-using mecsched::assign::HtaInstance;
-using mecsched::assign::LpEngine;
-using mecsched::assign::LpHta;
-using mecsched::assign::LpHtaOptions;
+using namespace mecsched;
+using assign::Assignment;
+using assign::HtaInstance;
 
 constexpr std::size_t kTasks = 200;
 constexpr int kTimedRuns = 5;
+// Normal-equation scalings per LP: about one Mehrotra run's iterations.
+constexpr std::size_t kScalings = 20;
 
-struct Timed {
-  Assignment assignment;
-  double seconds = 0.0;    // best-of-kTimedRuns, one warmup discarded
+using Clock = std::chrono::steady_clock;
+
+double seconds_since(Clock::time_point t0) {
+  return std::chrono::duration<double>(Clock::now() - t0).count();
+}
+
+// Best of kTimedRuns after one discarded warm-up run.
+template <class Fn>
+double best_of(Fn&& fn) {
+  fn();
+  double best = 1e300;
+  for (int r = 0; r < kTimedRuns; ++r) {
+    const auto t0 = Clock::now();
+    fn();
+    best = std::min(best, seconds_since(t0));
+  }
+  return best;
+}
+
+bool close(const std::vector<double>& a, const std::vector<double>& b,
+           double rel) {
+  if (a.size() != b.size()) return false;
+  double scale = 1.0;
+  for (const double v : b) scale = std::max(scale, std::fabs(v));
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (!(std::fabs(a[i] - b[i]) <= rel * scale)) return false;
+  }
+  return true;
+}
+
+// ---- Arm 1: normal equations -------------------------------------------
+
+struct NormalSystem {
+  lp::StandardForm sf;
+  lp::SparseMatrix at;
+  std::shared_ptr<const lp::NormalEquationsSymbolic> sym;
+  lp::Matrix a_dense;
+  std::vector<std::vector<double>> scalings;
+  std::vector<double> rhs;
 };
 
-// Best-of-N wall clock for one engine/kernel combination. The warmup run
-// also populates the process-wide symbolic-factor cache and grows the
-// per-thread simplex workspace arena, so the numbers reflect the steady
-// state a sweep actually sees (analysis/allocation done once, warm
-// re-entries thereafter).
-Timed time_assign(const HtaInstance& instance, const LpHtaOptions& options) {
-  const LpHta solver(options);
-  Timed out;
-  out.assignment = solver.assign(instance);  // warmup, result kept
-  out.seconds = 1e300;
-  for (int r = 0; r < kTimedRuns; ++r) {
-    const auto t0 = std::chrono::steady_clock::now();
-    const Assignment a = solver.assign(instance);
-    const auto t1 = std::chrono::steady_clock::now();
-    if (a.decisions != out.assignment.decisions) {
-      std::cerr << "FATAL: assignment changed between repeated solves\n";
-      std::exit(EXIT_FAILURE);
-    }
-    out.seconds =
-        std::min(out.seconds, std::chrono::duration<double>(t1 - t0).count());
+// Decades of x/s spread at scaling k: from 1 (the starting point) out to
+// 12 decades either way, as when the iterates approach a vertex.
+double spread_of(std::size_t k) {
+  return 12.0 * static_cast<double>(k) / static_cast<double>(kScalings - 1);
+}
+
+NormalSystem make_normal_system(const lp::Problem& p, std::uint64_t seed) {
+  NormalSystem ns;
+  ns.sf = lp::to_standard_form(p);
+  ns.at = ns.sf.a.transposed();
+  ns.sym = std::make_shared<const lp::NormalEquationsSymbolic>(ns.sf.a);
+  ns.a_dense = lp::to_dense(ns.sf.a);
+  Rng rng(seed);
+  for (std::size_t k = 0; k < kScalings; ++k) {
+    const double spread = spread_of(k);
+    std::vector<double> d(ns.sf.a.cols());
+    for (double& v : d) v = std::pow(10.0, rng.uniform(-spread, spread));
+    ns.scalings.push_back(std::move(d));
   }
-  return out;
+  ns.rhs.resize(ns.sf.a.rows());
+  for (double& v : ns.rhs) v = rng.uniform(-1.0, 1.0);
+  return ns;
 }
 
-LpHtaOptions with_mode(LpEngine engine, mecsched::lp::SparseMode mode) {
-  LpHtaOptions options;
-  options.engine = engine;
-  options.sparse_mode = mode;
-  return options;
+std::vector<double> solve_sparse(const NormalSystem& ns,
+                                 const std::vector<double>& d) {
+  return lp::NormalCholesky(ns.sf.a, ns.at, d, ns.sym).solve(ns.rhs);
 }
 
-LpHtaOptions with_basis(mecsched::lp::BasisKernel basis) {
-  LpHtaOptions options;
-  options.engine = LpEngine::kSimplex;
-  options.basis = basis;
-  return options;
+std::vector<double> solve_dense(const NormalSystem& ns,
+                                const std::vector<double>& d) {
+  return lp::Cholesky(lp::normal_matrix(ns.a_dense, d)).solve(ns.rhs);
+}
+
+// ---- Arm 2: basis kernels ------------------------------------------------
+
+// The refactorization schedule both kernels follow: the simplex default.
+const std::size_t kRefactorPeriod = lp::SimplexOptions{}.refactor_period;
+
+std::vector<double> dual_probe(std::size_t m) {
+  std::vector<double> y(m);
+  for (std::size_t r = 0; r < m; ++r) {
+    y[r] = 1.0 + 0.125 * static_cast<double>(r % 9);
+  }
+  return y;
+}
+
+// Replays `rp` on the eta-file LU; returns the final basis' FTRAN of the
+// dual probe (the agreement witness).
+std::vector<double> replay_lu(const lp::BasisReplay& rp) {
+  const std::size_t m = rp.m;
+  std::vector<std::size_t> basis = rp.initial_basis();
+  lp::BasisLu lu;
+  lu.limits().max_etas = kRefactorPeriod;
+  const auto refactor = [&] {
+    const lp::BasisReplay::Csc b = rp.gather(basis);
+    lu.factorize(m, b.ptr.data(), b.rows.data(), b.vals.data());
+  };
+  refactor();
+  const std::vector<double> probe = dual_probe(m);
+  std::vector<double> w(m), y(m);
+  for (const lp::BasisReplay::Step& st : rp.steps) {
+    if (lu.needs_refactor()) refactor();
+    y = probe;
+    lu.btran(y.data());
+    rp.scatter(st.entering, w.data());
+    lu.ftran(w.data());
+    basis[st.row] = st.entering;
+    if (!lu.push_eta(w.data(), st.row, m)) refactor();
+  }
+  y = probe;
+  lu.ftran(y.data());
+  return y;
+}
+
+// The same replay on the dense reference inverse: rank-1 updates, rebuilt
+// every kRefactorPeriod pivots.
+std::vector<double> replay_dense(const lp::BasisReplay& rp) {
+  const std::size_t m = rp.m;
+  std::vector<std::size_t> basis = rp.initial_basis();
+  lp::BasisDense dense;
+  const auto refactor = [&] {
+    const lp::BasisReplay::Csc b = rp.gather(basis);
+    dense.factorize(m, b.ptr.data(), b.rows.data(), b.vals.data());
+  };
+  refactor();
+  const std::vector<double> probe = dual_probe(m);
+  std::vector<double> w(m), y(m);
+  for (std::size_t k = 0; k < rp.steps.size(); ++k) {
+    const lp::BasisReplay::Step st = rp.steps[k];
+    y = probe;
+    dense.btran(y.data());
+    rp.scatter(st.entering, w.data());
+    dense.ftran(w.data());
+    basis[st.row] = st.entering;
+    if ((k + 1) % kRefactorPeriod == 0) {
+      refactor();
+    } else {
+      dense.update(w.data(), st.row);
+    }
+  }
+  y = probe;
+  dense.ftran(y.data());
+  return y;
 }
 
 // The cell's monolithic P2 relaxation: every per-station cluster LP of
 // build_cluster_lp merged block-diagonally (disjoint variables, disjoint
 // rows) into one problem. Same optimum as the sum of the cluster solves.
-mecsched::lp::Problem build_cell_lp(const HtaInstance& instance,
-                                    std::size_t stations) {
-  mecsched::lp::Problem mono;
+lp::Problem build_cell_lp(const HtaInstance& instance, std::size_t stations) {
+  lp::Problem mono;
   for (std::size_t b = 0; b < stations; ++b) {
-    const auto cluster = mecsched::assign::build_cluster_lp(instance, b);
-    const mecsched::lp::Problem& p = cluster.problem;
+    const auto cluster = assign::build_cluster_lp(instance, b);
+    const lp::Problem& p = cluster.problem;
     std::vector<std::size_t> map(p.num_variables());
     for (std::size_t v = 0; v < p.num_variables(); ++v) {
       map[v] = mono.add_variable(p.cost(v), p.lower(v), p.upper(v));
     }
     for (std::size_t r = 0; r < p.num_constraints(); ++r) {
       const auto& con = p.constraint(r);
-      std::vector<mecsched::lp::Term> terms;
+      std::vector<lp::Term> terms;
       terms.reserve(con.terms.size());
       for (const auto& t : con.terms) terms.push_back({map[t.var], t.coeff});
       mono.add_constraint(std::move(terms), con.relation, con.rhs);
@@ -121,43 +233,34 @@ mecsched::lp::Problem build_cell_lp(const HtaInstance& instance,
   return mono;
 }
 
-struct TimedLp {
+// ---- Arm 3: simplex pivot throughput --------------------------------------
+
+struct Pivots {
   double seconds = 0.0;
   double pivots = 0.0;
-  double objective = 0.0;
+  bool optimal = true;
 };
 
-TimedLp time_simplex(const mecsched::lp::Problem& problem,
-                     mecsched::lp::BasisKernel basis) {
-  mecsched::lp::SimplexOptions options;
-  options.basis = basis;
-  const mecsched::lp::SimplexSolver solver(options);
-  mecsched::lp::Solution sol = solver.solve(problem);  // warmup
-  TimedLp out;
-  out.seconds = 1e300;
-  for (int r = 0; r < kTimedRuns; ++r) {
-    const auto t0 = std::chrono::steady_clock::now();
-    sol = solver.solve(problem);
-    const auto t1 = std::chrono::steady_clock::now();
-    if (!sol.optimal()) {
-      std::cerr << "FATAL: monolithic cell LP did not solve to optimality\n";
-      std::exit(EXIT_FAILURE);
+Pivots time_simplex(const std::vector<lp::Problem>& problems) {
+  const lp::SimplexSolver solver;
+  Pivots out;
+  out.seconds = best_of([&] {
+    out.pivots = 0.0;
+    for (const lp::Problem& p : problems) {
+      const lp::Solution s = solver.solve(p);
+      out.optimal = out.optimal && s.optimal();
+      out.pivots += static_cast<double>(s.iterations);
     }
-    out.seconds =
-        std::min(out.seconds, std::chrono::duration<double>(t1 - t0).count());
-  }
-  out.pivots = static_cast<double>(sol.iterations);
-  out.objective = sol.objective;
+  });
   return out;
 }
 
 }  // namespace
 
 int main() {
-  const mecsched::bench::ObsSession obs_session("lp_kernels");
-  using namespace mecsched;
+  const bench::ObsSession obs_session("lp_kernels");
   bench::print_header(
-      "LP kernels", "sparse vs dense solver paths",
+      "LP kernels", "production sparse kernels vs the dense references",
       "Fig. 2(a) cell: 200 tasks, max input 3000 kB, 50 devices, 5 stations");
 
   workload::ScenarioConfig cfg;
@@ -169,104 +272,121 @@ int main() {
   const workload::Scenario scenario = workload::make_scenario(cfg);
   const HtaInstance instance(scenario.topology, scenario.tasks);
 
-  const Timed ipm_dense = time_assign(
-      instance, with_mode(LpEngine::kInteriorPoint, lp::SparseMode::kForceDense));
-  const Timed ipm_sparse = time_assign(
-      instance, with_mode(LpEngine::kInteriorPoint, lp::SparseMode::kForceSparse));
-  const Timed smx_dense = time_assign(
-      instance, with_mode(LpEngine::kSimplex, lp::SparseMode::kForceDense));
-  const Timed smx_sparse = time_assign(
-      instance, with_mode(LpEngine::kSimplex, lp::SparseMode::kForceSparse));
-  // End-to-end basis-kernel arms: the decomposed per-station cluster LPs,
-  // default (kAuto) pricing storage on both. These assert assignment
-  // identity; the headline kernel timing is the monolithic LP below.
-  const Timed smx_dense_kernel =
-      time_assign(instance, with_basis(lp::BasisKernel::kDenseInverse));
-  const Timed smx_lu_kernel =
-      time_assign(instance, with_basis(lp::BasisKernel::kEtaLu));
+  std::vector<lp::Problem> clusters;
+  for (std::size_t b = 0; b < bench::kStations; ++b) {
+    clusters.push_back(assign::build_cluster_lp(instance, b).problem);
+  }
 
-  // Monolithic cell LP, one simplex solve per kernel.
+  // Arm 1: normal equations, summed over the cluster LPs.
+  std::vector<NormalSystem> systems;
+  for (std::size_t b = 0; b < clusters.size(); ++b) {
+    systems.push_back(make_normal_system(clusters[b], 17 + b));
+  }
+  // Every solve must be backward stable; where D is still within two
+  // decades of 1 and M well conditioned, the two answers must also agree.
+  bool normal_agree = true;
+  for (const NormalSystem& ns : systems) {
+    for (std::size_t k = 0; k < kScalings; ++k) {
+      const std::vector<double>& d = ns.scalings[k];
+      const lp::Matrix m = lp::normal_matrix(ns.a_dense, d);
+      const std::vector<double> sparse = solve_sparse(ns, d);
+      const std::vector<double> dense = solve_dense(ns, d);
+      normal_agree = normal_agree &&
+                     lp::backward_error(m, sparse, ns.rhs) <= 1e-12 &&
+                     lp::backward_error(m, dense, ns.rhs) <= 1e-12 &&
+                     (spread_of(k) > 2.0 || close(sparse, dense, 1e-6));
+    }
+  }
+  const auto run_normal = [&](auto solve) {
+    return best_of([&] {
+      for (const NormalSystem& ns : systems) {
+        for (const std::vector<double>& d : ns.scalings) solve(ns, d);
+      }
+    });
+  };
+  const double normal_dense_s = run_normal(solve_dense);
+  const double normal_sparse_s = run_normal(solve_sparse);
+  const double ipm_speedup = normal_dense_s / normal_sparse_s;
+
+  // Arm 2: basis kernels on the monolithic cell LP.
   const lp::Problem cell_lp = build_cell_lp(instance, bench::kStations);
-  const TimedLp cell_dense = time_simplex(cell_lp, lp::BasisKernel::kDenseInverse);
-  const TimedLp cell_lu = time_simplex(cell_lp, lp::BasisKernel::kEtaLu);
+  const lp::BasisReplay replay =
+      lp::make_basis_replay(cell_lp, 2 * cell_lp.num_constraints(), 1200);
+  const bool basis_agree = close(replay_lu(replay), replay_dense(replay), 1e-7);
+  const double basis_dense_s = best_of([&] { replay_dense(replay); });
+  const double basis_lu_s = best_of([&] { replay_lu(replay); });
+  const double basis_speedup = basis_dense_s / basis_lu_s;
 
-  const double ipm_speedup = ipm_dense.seconds / ipm_sparse.seconds;
-  const double smx_speedup = smx_dense.seconds / smx_sparse.seconds;
-  const double basis_e2e_speedup =
-      smx_dense_kernel.seconds / smx_lu_kernel.seconds;
-  const double basis_speedup = cell_dense.seconds / cell_lu.seconds;
-  const double pivots_per_second = cell_lu.pivots / cell_lu.seconds;
-  const bool ipm_identical =
-      ipm_dense.assignment.decisions == ipm_sparse.assignment.decisions;
-  const bool smx_identical =
-      smx_dense.assignment.decisions == smx_sparse.assignment.decisions;
-  const bool basis_identical = smx_dense_kernel.assignment.decisions ==
-                               smx_lu_kernel.assignment.decisions;
-  const bool cell_objectives_agree =
-      std::fabs(cell_dense.objective - cell_lu.objective) <=
-      1e-6 * (1.0 + std::fabs(cell_dense.objective));
+  // Arm 3: pivot throughput, per-cluster LPs and the monolithic LP.
+  const Pivots cluster = time_simplex(clusters);
+  const Pivots cell = time_simplex({cell_lp});
+  const double cluster_pivots_per_second = cluster.pivots / cluster.seconds;
+  const double lu_pivots_per_second = cell.pivots / cell.seconds;
 
-  std::cout << "engine                        dense (s)   sparse/LU (s)   speedup\n";
+  // LP-HTA's plan must not depend on the pricing rule or on repetition.
+  const Assignment plan = assign::LpHta().assign(instance);
+  bool assignments_identical = plan.decisions ==
+                               assign::LpHta().assign(instance).decisions;
+  for (const lp::PricingRule rule :
+       {lp::PricingRule::kDevex, lp::PricingRule::kSteepestEdge}) {
+    assign::LpHtaOptions options;
+    options.pricing = rule;
+    assignments_identical =
+        assignments_identical &&
+        assign::LpHta(options).assign(instance).decisions == plan.decisions;
+  }
+  const bool kernels_agree = normal_agree && basis_agree && cluster.optimal &&
+                             cell.optimal;
+
   std::cout.setf(std::ios::fixed);
   std::cout.precision(6);
-  std::cout << "interior-point                " << ipm_dense.seconds << "    "
-            << ipm_sparse.seconds << "    " << ipm_speedup << "x\n"
-            << "simplex pricing               " << smx_dense.seconds << "    "
-            << smx_sparse.seconds << "    " << smx_speedup << "x\n"
-            << "basis kernel (cluster LPs)    " << smx_dense_kernel.seconds
-            << "    " << smx_lu_kernel.seconds << "    " << basis_e2e_speedup
-            << "x\n"
-            << "basis kernel (cell LP)        " << cell_dense.seconds << "    "
-            << cell_lu.seconds << "    " << basis_speedup << "x\n";
+  std::cout << "arm                            dense (s)   sparse/LU (s)   "
+               "speedup\n"
+            << "normal equations (clusters)    " << normal_dense_s << "    "
+            << normal_sparse_s << "        " << ipm_speedup << "x\n"
+            << "basis kernel (cell LP replay)  " << basis_dense_s << "    "
+            << basis_lu_s << "        " << basis_speedup << "x\n";
   std::cout << "cell LP: " << cell_lp.num_variables() << " vars, "
-            << cell_lp.num_constraints() << " rows, objective "
-            << cell_lu.objective << "\n";
+            << cell_lp.num_constraints() << " rows; replay of "
+            << replay.steps.size() << " column replacements\n";
   std::cout.precision(0);
-  std::cout << "eta-LU cell pivot throughput: " << pivots_per_second
-            << " pivots/s (" << cell_lu.pivots << " pivots/solve)\n";
+  std::cout << "simplex pivots/s: " << cluster_pivots_per_second
+            << " on the cluster LPs (" << cluster.pivots << " pivots), "
+            << lu_pivots_per_second << " on the cell LP (" << cell.pivots
+            << " pivots)\n";
   std::cout.precision(6);
-
-  obs::Registry& reg = obs::Registry::global();
-  std::cout << "symbolic cache: "
-            << reg.counter("lp.sparse.pattern_cache_hits").value() << " hits, "
-            << reg.counter("lp.sparse.pattern_cache_misses").value()
-            << " misses\n";
 
   bench::BenchTelemetry& telemetry = obs_session.telemetry();
   telemetry.set_value("tasks", static_cast<double>(kTasks));
   telemetry.set_value("timed_runs", static_cast<double>(kTimedRuns));
-  telemetry.set_value("ipm_dense_seconds", ipm_dense.seconds);
-  telemetry.set_value("ipm_sparse_seconds", ipm_sparse.seconds);
+  telemetry.set_value("normal_dense_seconds", normal_dense_s);
+  telemetry.set_value("normal_sparse_seconds", normal_sparse_s);
   telemetry.set_value("ipm_speedup", ipm_speedup);
-  telemetry.set_value("simplex_dense_seconds", smx_dense.seconds);
-  telemetry.set_value("simplex_sparse_seconds", smx_sparse.seconds);
-  telemetry.set_value("simplex_speedup", smx_speedup);
-  telemetry.set_value("simplex_dense_kernel_seconds", smx_dense_kernel.seconds);
-  telemetry.set_value("simplex_lu_kernel_seconds", smx_lu_kernel.seconds);
-  telemetry.set_value("basis_kernel_e2e_speedup", basis_e2e_speedup);
-  telemetry.set_value("cell_dense_kernel_seconds", cell_dense.seconds);
-  telemetry.set_value("cell_lu_kernel_seconds", cell_lu.seconds);
+  telemetry.set_value("replay_steps", static_cast<double>(replay.steps.size()));
+  telemetry.set_value("basis_dense_seconds", basis_dense_s);
+  telemetry.set_value("basis_lu_seconds", basis_lu_s);
   telemetry.set_value("basis_kernel_speedup", basis_speedup);
-  telemetry.set_value("lu_pivots_per_second", pivots_per_second);
-  telemetry.set_flag("assignments_identical",
-                     ipm_identical && smx_identical && basis_identical &&
-                         cell_objectives_agree);
+  telemetry.set_value("cluster_seconds", cluster.seconds);
+  telemetry.set_value("cluster_pivots", cluster.pivots);
+  telemetry.set_value("cluster_pivots_per_second", cluster_pivots_per_second);
+  telemetry.set_value("cell_lu_seconds", cell.seconds);
+  telemetry.set_value("cell_pivots", cell.pivots);
+  telemetry.set_value("lu_pivots_per_second", lu_pivots_per_second);
+  telemetry.set_flag("assignments_identical", assignments_identical);
+  telemetry.set_flag("kernels_agree", kernels_agree);
 
   bench::ShapeChecker check;
-  check.expect(ipm_identical,
-               "IPM sparse and dense kernels produce identical assignments");
-  check.expect(smx_identical,
-               "simplex sparse and dense pricing produce identical assignments");
-  check.expect(basis_identical,
-               "eta-LU and dense-inverse basis kernels produce identical assignments");
-  check.expect(cell_objectives_agree,
-               "both basis kernels reach the same cell-LP optimum");
+  check.expect(assignments_identical,
+               "LP-HTA's plan is the same under every pricing rule");
+  check.expect(normal_agree,
+               "sparse and dense normal-equation solves agree");
+  check.expect(basis_agree,
+               "eta-LU and dense-inverse replays end on the same basis solve");
+  check.expect(cluster.optimal && cell.optimal,
+               "every timed simplex solve is optimal");
   check.expect(ipm_speedup >= 3.0,
-               "sparse IPM is at least 3x faster than dense on the 200-task cell");
-  check.expect(smx_speedup >= 0.9,
-               "sparse simplex pricing does not slow the solve down");
-  check.expect(basis_e2e_speedup >= 0.9,
-               "eta-LU does not slow the decomposed cluster solves down");
+               "sparse normal equations are at least 3x faster than dense "
+               "on the 200-task cell");
   check.expect(basis_speedup >= 2.0,
                "eta-LU basis kernel is at least 2x faster than the dense "
                "inverse on the cell LP");

@@ -48,7 +48,6 @@ lp::Solution solve_exact(const lp::Problem& p, const LpHtaOptions& options,
   if (options.engine == LpEngine::kInteriorPoint) {
     lp::InteriorPointOptions ipm;
     if (budget > 0) ipm.max_iterations = budget;
-    ipm.sparse_mode = options.sparse_mode;
     ipm.cancel = options.cancel;
     const lp::Solution s = lp::InteriorPointSolver(ipm).solve(p);
     if (s.optimal()) return s;
@@ -61,9 +60,7 @@ lp::Solution solve_exact(const lp::Problem& p, const LpHtaOptions& options,
   }
   lp::SimplexOptions smx;
   if (budget > 0) smx.max_iterations = budget;
-  smx.sparse_pricing = options.sparse_mode;
   smx.pricing = options.pricing;
-  smx.basis = options.basis;
   smx.cancel = options.cancel;
   const lp::SimplexSolver solver(smx);
   const lp::Solution s = guess != nullptr ? solver.solve(p, *guess)

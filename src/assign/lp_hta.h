@@ -25,7 +25,6 @@
 
 #include "assign/assigner.h"
 #include "lp/simplex.h"
-#include "lp/sparse_matrix.h"
 
 namespace mecsched::assign {
 
@@ -56,21 +55,12 @@ struct LpHtaOptions {
   // kSimplex, presolve/equilibrate off — those transforms change the
   // variable space). Not owned; must outlive the assign() call.
   const Assignment* warm_hint = nullptr;
-  // Sparse-kernel dispatch, forwarded to both LP engines (see
-  // lp/sparse_matrix.h). The cluster LPs are block-structured and very
-  // sparse — 4 columns per task touching at most 3 rows each — so large
-  // clusters clear the kAuto density threshold and get the CSR kernels;
-  // small ones keep the dense path. Assignment-preserving either way.
-  lp::SparseMode sparse_mode = lp::SparseMode::kAuto;
-  // Step-1 simplex tuning, forwarded verbatim to lp::SimplexOptions
-  // (ignored by the interior-point engine). The defaults — eta-file LU
-  // basis kernel, Dantzig pricing — are the measured-fastest combination
-  // on the paper's cluster LPs; kDenseInverse is the differential-testing
-  // escape hatch (see lp/simplex.h), and kDevex / kSteepestEdge trade
-  // more work per pivot for fewer pivots on degenerate instances.
-  // Assignment-preserving: every combination reaches the same optimum.
+  // Step-1 simplex pricing, forwarded to lp::SimplexOptions (ignored by
+  // the interior-point engine). Dantzig is the measured-fastest rule on
+  // the paper's cluster LPs; kDevex / kSteepestEdge trade more work per
+  // pivot for fewer pivots on degenerate instances. Assignment-preserving:
+  // every rule reaches the same optimum.
   lp::PricingRule pricing = lp::PricingRule::kDantzig;
-  lp::BasisKernel basis = lp::BasisKernel::kEtaLu;
   // Cooperative solve budget, forwarded to the Step-1 LP engines. On expiry
   // a cluster whose LP holds a usable anytime point (see solution.h) keeps
   // it — Steps 2-6 round and repair it like any relaxation, and the final

@@ -255,7 +255,7 @@ std::string usage() {
       "  serve     [--replay workload.json | generator knobs as above]\n"
       "            [--epoch-s E] [--batch-max N] [--shards N] [--max-queue N]\n"
       "            [--max-attempts K] [--epoch-budget-ms MS]\n"
-      "            [--cache-capacity N] [--no-warm-start]\n"
+      "            [--no-warm-start]\n"
       "            [--decisions-out log.csv] [--out result.json]\n"
       "            (online sharded scheduling daemon; see docs/serve.md)\n"
       "  report    --flight records.jsonl [--metrics out.prom] [--top N]\n"
@@ -911,8 +911,7 @@ int cmd_serve(const std::vector<std::string>& tokens, std::ostream& out) {
   ArgParser args({"replay", "devices", "stations", "seed", "epochs", "rate",
                   "join-rate", "leave-rate", "migrate-rate", "max-input-kb",
                   "epoch-s", "batch-max", "shards", "max-queue",
-                  "max-attempts", "epoch-budget-ms", "cache-capacity",
-                  "decisions-out", "out"},
+                  "max-attempts", "epoch-budget-ms", "decisions-out", "out"},
                  {"no-warm-start"});
   args.parse(tokens);
 
@@ -946,12 +945,7 @@ int cmd_serve(const std::vector<std::string>& tokens, std::ostream& out) {
   if (args.has("epoch-budget-ms")) {
     opts.epoch_budget_ms = args.get_positive_num("epoch-budget-ms", 0.0);
   }
-  opts.cache_capacity =
-      args.get_count("cache-capacity", opts.cache_capacity);
   opts.warm_start = !args.get_switch("no-warm-start");
-  // Size the LP layer's symbolic-factor cache alongside the plan cache,
-  // as the sweep runner does: shard shapes recur every epoch.
-  lp::SymbolicFactorCache::global().set_capacity(opts.cache_capacity);
 
   serve::DecisionLog log;
   // Ctrl-C / SIGTERM stop the loop at the next epoch boundary; the normal
@@ -985,7 +979,6 @@ int cmd_serve(const std::vector<std::string>& tokens, std::ostream& out) {
   o["epochs"] = r.epochs;
   o["decide_epochs"] = r.decide_epochs;
   o["shard_solves"] = r.shard_solves;
-  o["cache_hits"] = r.cache_hits;
   o["total_energy_j"] = r.total_energy_j;
   o["makespan_s"] = r.makespan_s;
   o["virtual_now_s"] = r.virtual_now_s;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <optional>
 #include <tuple>
 #include <vector>
@@ -12,8 +13,6 @@
 #include "common/error.h"
 #include "obs/flight_recorder.h"
 #include "obs/window.h"
-#include "lp/cholesky.h"
-#include "lp/matrix.h"
 #include "lp/sparse_cholesky.h"
 #include "lp/sparse_matrix.h"
 #include "lp/standard_form.h"
@@ -22,6 +21,18 @@
 
 namespace mecsched::lp {
 namespace {
+
+double dot(const std::vector<double>& a, const std::vector<double>& b) {
+  double acc = 0.0;
+  for (std::size_t i = 0; i < a.size(); ++i) acc += a[i] * b[i];
+  return acc;
+}
+
+double norm_inf(const std::vector<double>& v) {
+  double m = 0.0;
+  for (double x : v) m = std::max(m, std::fabs(x));
+  return m;
+}
 
 // Max t in [0,1] with v + t*dv >= 0 (componentwise), damped by `damping`.
 double max_step(const std::vector<double>& v, const std::vector<double>& dv,
@@ -33,95 +44,6 @@ double max_step(const std::vector<double>& v, const std::vector<double>& dv,
   return std::min(1.0, damping * t);
 }
 
-// The two normal-equation backends behind the Mehrotra loop. Both expose
-// the same contract: mul/mul_t apply A and Aᵀ, factor(d) (re)factors
-// M = A·diag(d)·Aᵀ, solve applies M⁻¹. The loop itself is backend-blind.
-
-// Dense kernel — the historical path: densified A, O(m²n) assembly, dense
-// Cholesky. Still the right tool for small or dense systems.
-class DenseNormalKernel {
- public:
-  explicit DenseNormalKernel(const SparseMatrix& a)
-      : a_(a.to_dense()), at_(a_.transposed()) {}
-
-  std::vector<double> mul(const std::vector<double>& x) const {
-    return a_.multiply(x);
-  }
-  std::vector<double> mul_t(const std::vector<double>& x) const {
-    return at_.multiply(x);
-  }
-
-  void factor(const std::vector<double>& d) {
-    const std::size_t m = a_.rows();
-    const std::size_t n = a_.cols();
-    Matrix mmat(m, m);
-    for (std::size_t i = 0; i < m; ++i) {
-      for (std::size_t j = i; j < m; ++j) {
-        double acc = 0.0;
-        const double* ri = a_.row(i);
-        const double* rj = a_.row(j);
-        for (std::size_t k = 0; k < n; ++k) acc += ri[k] * d[k] * rj[k];
-        mmat(i, j) = acc;
-        mmat(j, i) = acc;
-      }
-    }
-    chol_.emplace(mmat);
-  }
-
-  std::vector<double> solve(const std::vector<double>& b) const {
-    return chol_->solve(b);
-  }
-
- private:
-  Matrix a_;
-  Matrix at_;
-  std::optional<Cholesky> chol_;
-};
-
-// Sparse kernel — CSR SpMV, pattern-only normal-equation assembly and the
-// symbolic/numeric-split Cholesky. The symbolic analysis is fetched from
-// the process-wide pattern cache, so repeated solves over the same HTA
-// constraint shape (every IPM iteration, every adjacent sweep cell) skip
-// the ordering work entirely.
-class SparseNormalKernel {
- public:
-  explicit SparseNormalKernel(const SparseMatrix& a)
-      : a_(a),
-        at_(a.transposed()),
-        sym_(SymbolicFactorCache::global().analyze(a)) {
-    obs::Registry& reg = obs::Registry::global();
-    reg.gauge("lp.sparse.last_nnz").set(static_cast<double>(a_.nnz()));
-    reg.gauge("lp.sparse.last_factor_nnz")
-        .set(static_cast<double>(sym_->factor_nnz()));
-    reg.gauge("lp.sparse.last_fill_ratio").set(sym_->fill_ratio());
-    reg.histogram("lp.sparse.fill_ratio").observe(sym_->fill_ratio());
-  }
-
-  std::vector<double> mul(const std::vector<double>& x) const {
-    return a_.multiply(x);
-  }
-  std::vector<double> mul_t(const std::vector<double>& x) const {
-    return at_.multiply(x);
-  }
-
-  void factor(const std::vector<double>& d) {
-    chol_.emplace(a_, at_, d, sym_);
-  }
-
-  std::vector<double> solve(const std::vector<double>& b) const {
-    return chol_->solve(b);
-  }
-
- private:
-  const SparseMatrix& a_;
-  SparseMatrix at_;
-  std::shared_ptr<const NormalEquationsSymbolic> sym_;
-  std::optional<NormalCholesky> chol_;
-};
-
-// Mehrotra predictor–corrector loop, parameterized over the normal-
-// equation backend. Identical math on both paths; only the linear-algebra
-// kernels differ.
 bool has_nan(const std::vector<double>& v) {
   for (double e : v) {
     if (std::isnan(e)) return true;
@@ -129,24 +51,40 @@ bool has_nan(const std::vector<double>& v) {
   return false;
 }
 
-template <class Kernel>
+// Mehrotra predictor–corrector loop. The normal equations
+// M = A·diag(d)·Aᵀ are assembled and factored on the CSR pattern of A by
+// NormalCholesky; the symbolic analysis comes from the process-wide
+// pattern cache, so repeated solves over the same HTA constraint shape
+// (every IPM iteration, every adjacent sweep cell) skip the ordering work.
 Solution ipm_loop(const Problem& problem, const StandardForm& sf,
-                  Kernel& kernel, const InteriorPointOptions& options,
+                  const InteriorPointOptions& options,
                   const CancellationToken& token) {
+  const SparseMatrix& a = sf.a;
+  const SparseMatrix at = a.transposed();
+  const std::shared_ptr<const NormalEquationsSymbolic> sym =
+      SymbolicFactorCache::global().analyze(a);
+  obs::Registry& reg = obs::Registry::global();
+  reg.gauge("lp.sparse.last_nnz").set(static_cast<double>(a.nnz()));
+  reg.gauge("lp.sparse.last_factor_nnz")
+      .set(static_cast<double>(sym->factor_nnz()));
+  reg.gauge("lp.sparse.last_fill_ratio").set(sym->fill_ratio());
+  reg.histogram("lp.sparse.fill_ratio").observe(sym->fill_ratio());
+  std::optional<NormalCholesky> chol;
+
   Solution out;
-  const std::size_t m = sf.a.rows();
-  const std::size_t n = sf.a.cols();
+  const std::size_t m = a.rows();
+  const std::size_t n = a.cols();
 
   // --- Mehrotra starting point ---------------------------------------
   // x~ = A^T (A A^T)^-1 b ; y~ = (A A^T)^-1 A c ; s~ = c - A^T y~, then
   // shifted into the strictly positive orthant.
   std::vector<double> x, y, s;
   {
-    kernel.factor(std::vector<double>(n, 1.0));  // M = A Aᵀ
-    x = kernel.mul_t(kernel.solve(sf.b));
-    y = kernel.solve(kernel.mul(sf.c));
+    chol.emplace(a, at, std::vector<double>(n, 1.0), sym);  // M = A Aᵀ
+    x = at.multiply(chol->solve(sf.b));
+    y = chol->solve(a.multiply(sf.c));
     s = sf.c;
-    const std::vector<double> aty = kernel.mul_t(y);
+    const std::vector<double> aty = at.multiply(y);
     for (std::size_t i = 0; i < n; ++i) s[i] -= aty[i];
 
     double dx = 0.0, ds = 0.0;
@@ -202,9 +140,9 @@ Solution ipm_loop(const Problem& problem, const StandardForm& sf,
       }
     }
     // Residuals.
-    std::vector<double> rb = kernel.mul(x);  // A x - b
+    std::vector<double> rb = a.multiply(x);  // A x - b
     for (std::size_t i = 0; i < m; ++i) rb[i] -= sf.b[i];
-    std::vector<double> rc = kernel.mul_t(y);  // A^T y + s - c
+    std::vector<double> rc = at.multiply(y);  // A^T y + s - c
     for (std::size_t i = 0; i < n; ++i) rc[i] += s[i] - sf.c[i];
     const double mu = dot(x, s) / static_cast<double>(n);
 
@@ -213,7 +151,6 @@ Solution ipm_loop(const Problem& problem, const StandardForm& sf,
         (1.0 + std::fabs(dot(sf.c, x)));
     // Last-iteration convergence state; with a trace attached, Perfetto
     // shows how the residuals decayed inside each solve.
-    obs::Registry& reg = obs::Registry::global();
     reg.gauge("lp.ipm.last_rel_gap").set(rel_gap);
     reg.gauge("lp.ipm.last_primal_residual").set(norm_inf(rb));
     reg.gauge("lp.ipm.last_dual_residual").set(norm_inf(rc));
@@ -248,7 +185,7 @@ Solution ipm_loop(const Problem& problem, const StandardForm& sf,
       throw SolverError("interior-point: NaN in factorization scaling "
                         "(numeric breakdown)");
     }
-    kernel.factor(d);
+    chol.emplace(a, at, d, sym);
 
     // One Newton solve for a given complementarity target `rxs`
     // (rxs_i = x_i s_i - target_i). Returns (dx, dy, ds).
@@ -258,10 +195,10 @@ Solution ipm_loop(const Problem& problem, const StandardForm& sf,
       for (std::size_t i = 0; i < n; ++i) {
         tmp[i] = (rxs[i] - x[i] * rc[i]) / s[i];
       }
-      std::vector<double> rhs = kernel.mul(tmp);
+      std::vector<double> rhs = a.multiply(tmp);
       for (std::size_t i = 0; i < m; ++i) rhs[i] -= rb[i];
-      std::vector<double> dy = kernel.solve(rhs);
-      std::vector<double> ds = kernel.mul_t(dy);
+      std::vector<double> dy = chol->solve(rhs);
+      std::vector<double> ds = at.multiply(dy);
       for (std::size_t i = 0; i < n; ++i) ds[i] = -rc[i] - ds[i];
       std::vector<double> dx(n);
       for (std::size_t i = 0; i < n; ++i) {
@@ -389,16 +326,7 @@ Solution InteriorPointSolver::solve_impl(const Problem& problem) const {
 
   const StandardForm sf = to_standard_form(problem);
   const CancellationToken token = effective_solve_token(options_.cancel);
-  obs::Registry& reg = obs::Registry::global();
-  if (use_sparse_kernels(sf.a.rows(), sf.a.cols(), sf.a.nnz(),
-                         options_.sparse_mode)) {
-    reg.counter("lp.sparse.ipm_solves").add();
-    SparseNormalKernel kernel(sf.a);
-    return ipm_loop(problem, sf, kernel, options_, token);
-  }
-  reg.counter("lp.sparse.ipm_dense_fallback").add();
-  DenseNormalKernel kernel(sf.a);
-  return ipm_loop(problem, sf, kernel, options_, token);
+  return ipm_loop(problem, sf, options_, token);
 }
 
 }  // namespace mecsched::lp

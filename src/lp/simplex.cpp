@@ -10,9 +10,7 @@
 #include "common/chaos_hook.h"
 #include "common/deadline.h"
 #include "common/error.h"
-#include "lp/basis_dense.h"
 #include "lp/basis_lu.h"
-#include "lp/sparse_matrix.h"
 #include "lp/workspace.h"
 #include "obs/flight_recorder.h"
 #include "obs/registry.h"
@@ -27,10 +25,8 @@ enum class VarState : unsigned char { kBasic, kAtLower, kAtUpper };
 // The augmented LP (structural + slack + artificial columns) plus all the
 // mutable solver state for one solve. Everything is carved out of the
 // per-thread SimplexWorkspace arena, the augmented matrix is held as CSC
-// columns only (a dense column copy is materialized solely for the
-// force-dense pricing fallback), and the basis lives behind one of two
-// kernels: the eta-file LU (lp/basis_lu.h, default) or the historical
-// explicit dense inverse (lp/basis_dense.h).
+// columns only, and the basis lives in the workspace's eta-file LU
+// (lp/basis_lu.h).
 class Tableau {
  public:
   // `guess` (optional, one entry per structural variable) warm-starts the
@@ -39,7 +35,7 @@ class Tableau {
   // path (guess == nullptr) keeps the historical all-artificial start.
   Tableau(const Problem& p, const SimplexOptions& opt,
           const std::vector<double>* guess, SimplexWorkspace& ws)
-      : opt_(opt), ws_(ws), use_lu_(opt.basis == BasisKernel::kEtaLu) {
+      : opt_(opt), ws_(ws), lu_(ws.lu()) {
     ws_.begin_solve();
     const std::size_t m = p.num_constraints();
     m_ = m;
@@ -121,8 +117,9 @@ class Tableau {
     row_ptr[m] = cursor;
 
     // CSC column store for the whole augmented tableau. Filling row-major
-    // keeps the rows of every column in ascending order — the invariant
-    // the bit-identical sparse/dense pricing contract rests on.
+    // keeps the rows of every column in ascending order, so every column
+    // walk (pricing, ratio-test scatter, refactorization gather) visits
+    // rows in a fixed order and the pivot sequence is deterministic.
     std::size_t nnz = n_slack + m;  // slacks and artificials: one entry each
     for (std::size_t i = 0; i < cursor; ++i) nnz += term_val[i] != 0.0;
     acol_ptr_ = ws_.alloc<std::size_t>(n_total_ + 1);
@@ -191,12 +188,7 @@ class Tableau {
       }
     }
 
-    if (use_lu_) {
-      lu_ = &ws_.lu();
-      lu_->limits().max_etas = opt_.refactor_period;
-    } else {
-      dense_.reset_diagonal(m);
-    }
+    lu_.limits().max_etas = opt_.refactor_period;
     for (std::size_t r = 0; r < m; ++r) {
       const std::size_t art = art_begin_ + r;
       const std::size_t art_entry = acol_ptr_[art];  // its single CSC slot
@@ -212,7 +204,6 @@ class Tableau {
           state_[s] = VarState::kBasic;
           x_[s] = value;
           acol_val_[art_entry] = 1.0;
-          if (!use_lu_) dense_.set_diag(r, sign);  // B col = ±e_r
           continue;
         }
       }
@@ -221,30 +212,9 @@ class Tableau {
       basis_[r] = art;
       state_[art] = VarState::kBasic;
       x_[art] = std::fabs(residual[r]);
-      if (!use_lu_) dense_.set_diag(r, sign);  // B = diag(sign)
     }
-    if (use_lu_) factorize_basis();
-
-    // Pricing storage dispatch (lp/sparse_matrix.h): above the density
-    // threshold pricing walks the CSC nonzeros; below it, a dense
-    // column-major copy is scanned instead. Same products in the same
-    // ascending-row order either way, so the reduced costs — and the
-    // pivot sequence — are bit-identical.
-    sparse_pricing_ = use_sparse_kernels(m, n_total_, nnz_, opt_.sparse_pricing);
-    if (!sparse_pricing_) {
-      dense_cols_ = ws_.alloc<double>(m * n_total_);
-      std::fill(dense_cols_, dense_cols_ + m * n_total_, 0.0);
-      for (std::size_t j = 0; j < n_total_; ++j) {
-        for (std::size_t pcol = acol_ptr_[j]; pcol < acol_ptr_[j + 1];
-             ++pcol) {
-          dense_cols_[j * m + acol_row_[pcol]] = acol_val_[pcol];
-        }
-      }
-    }
+    factorize_basis();
   }
-
-  // Whether the pricing/ratio-test kernels run off the CSC column store.
-  bool sparse_pricing() const { return sparse_pricing_; }
 
   // Minimizes `costs` (n_total entries) from the current basis. Returns
   // the phase status. `token` is checked once per pivot; on expiry the
@@ -275,21 +245,17 @@ class Tableau {
             // outside: the budget is gone.
             return SolveStatus::kDeadline;
           case chaos::Action::kPoisonNan:
-            if (use_lu_) {
-              lu_->poison();
-            } else {
-              dense_.poison();
-            }
+            lu_.poison();
             break;
           case chaos::Action::kError:
             throw SolverError("simplex: injected solver fault");
         }
       }
-      if (refactor_due()) refactorize();
+      if (lu_.needs_refactor()) refactorize();
 
       // Dual prices y = B^-T c_B.
       for (std::size_t r = 0; r < m; ++r) cb_[r] = costs[basis_[r]];
-      btran_vec(cb_);
+      lu_.btran(cb_);
       const double* y = cb_;
 
       const bool bland = degenerate_run >= opt_.bland_trigger;
@@ -309,7 +275,7 @@ class Tableau {
 
       // Column in the current basis frame: w = B^-1 A_entering.
       column_scatter(entering, w_);
-      ftran_vec(w_);
+      lu_.ftran(w_);
 
       const double dir = state_[entering] == VarState::kAtLower ? 1.0 : -1.0;
 
@@ -368,18 +334,14 @@ class Tableau {
       x_[leaving] = leave_at_upper ? hi_[leaving] : lo_[leaving];
       state_[entering] = VarState::kBasic;
       basis_[leave_row] = entering;
-      if (use_lu_) {
-        if (lu_->push_eta(w_, leave_row, m)) {
-          ++eta_updates_;
-        } else {
-          // Accuracy trigger: the eta pivot is too small to apply safely.
-          // The basis is already updated, so a fresh factorization both
-          // absorbs the pivot and clears accumulated drift.
-          ++eta_rejections_;
-          refactorize();
-        }
+      if (lu_.push_eta(w_, leave_row, m)) {
+        ++eta_updates_;
       } else {
-        dense_.update(w_, leave_row);
+        // Accuracy trigger: the eta pivot is too small to apply safely.
+        // The basis is already updated, so a fresh factorization both
+        // absorbs the pivot and clears accumulated drift.
+        ++eta_rejections_;
+        refactorize();
       }
     }
     return SolveStatus::kIterationLimit;
@@ -423,7 +385,7 @@ class Tableau {
   std::vector<double> duals(const double* costs) const {
     std::vector<double> y(m_);
     for (std::size_t r = 0; r < m_; ++r) y[r] = costs[basis_[r]];
-    if (!y.empty()) btran_vec(y.data());
+    if (!y.empty()) lu_.btran(y.data());
     return y;
   }
 
@@ -439,22 +401,6 @@ class Tableau {
     double mx = 0.0;
     for (std::size_t i = 0; i < n; ++i) mx = std::max(mx, std::fabs(v[i]));
     return mx;
-  }
-
-  void ftran_vec(double* v) const {
-    if (use_lu_) {
-      lu_->ftran(v);
-    } else {
-      dense_.ftran(v);
-    }
-  }
-
-  void btran_vec(double* v) const {
-    if (use_lu_) {
-      lu_->btran(v);
-    } else {
-      dense_.btran(v);
-    }
   }
 
   // out := dense image of CSC column j (m entries).
@@ -474,13 +420,8 @@ class Tableau {
     return acc;
   }
 
-  bool refactor_due() const {
-    if (use_lu_) return lu_->needs_refactor();
-    return iterations_ > 0 && iterations_ % opt_.refactor_period == 0;
-  }
-
   // Gathers the current basis columns (CSC, ascending rows preserved) and
-  // hands them to the active kernel.
+  // factorizes them.
   void factorize_basis() {
     if (bcol_ptr_ == nullptr) {
       bcol_ptr_ = ws_.alloc<std::size_t>(m_ + 1);
@@ -498,11 +439,7 @@ class Tableau {
       }
     }
     bcol_ptr_[m_] = cursor;
-    if (use_lu_) {
-      lu_->factorize(m_, bcol_ptr_, bcol_row_, bcol_val_);
-    } else {
-      dense_.factorize(m_, bcol_ptr_, bcol_row_, bcol_val_);
-    }
+    lu_.factorize(m_, bcol_ptr_, bcol_row_, bcol_val_);
   }
 
   // Recomputes the basis representation from scratch and refreshes the
@@ -520,25 +457,8 @@ class Tableau {
         rhs_[acol_row_[p]] -= acol_val_[p] * x_[v];
       }
     }
-    ftran_vec(rhs_);
+    lu_.ftran(rhs_);
     for (std::size_t r = 0; r < m_; ++r) x_[basis_[r]] = rhs_[r];
-  }
-
-  // Reduced cost c_j - y^T A_j. Both storage paths subtract the products
-  // in ascending row order (the sparse one merely skips exact-zero terms),
-  // so sparse pricing reproduces the dense reduced costs bit-for-bit and
-  // the pivot sequence is unchanged.
-  double reduced_cost(std::size_t j, const double* costs,
-                      const double* y) const {
-    double dj = costs[j];
-    if (sparse_pricing_) {
-      return dj - col_dot(j, y);
-    }
-    // Dense fallback under the dispatch threshold (lp/sparse_matrix.h):
-    // scan the column-major copy, zero terms included.
-    const double* col = dense_cols_ + j * m_;
-    for (std::size_t r = 0; r < m_; ++r) dj -= y[r] * col[r];
-    return dj;
   }
 
   // Chooses the entering column: Dantzig (most negative effective reduced
@@ -551,7 +471,7 @@ class Tableau {
     for (std::size_t j = 0; j < n_total_; ++j) {
       if (state_[j] == VarState::kBasic) continue;
       if (hi_[j] - lo_[j] <= opt_.tolerance) continue;  // fixed (artificials)
-      const double dj = reduced_cost(j, costs, y);
+      const double dj = costs[j] - col_dot(j, y);  // reduced cost
       const double rate =
           state_[j] == VarState::kAtLower ? -dj : dj;  // improvement rate
       if (rate <= dj_tol) continue;                    // not eligible
@@ -583,15 +503,11 @@ class Tableau {
     }
   }
 
-  // rho_ := pivot row r of B^-1 (e_r^T B^-1), via the kernel.
+  // rho_ := pivot row r of B^-1 (e_r^T B^-1).
   void load_pivot_row(std::size_t r) {
-    if (use_lu_) {
-      std::fill(rho_, rho_ + m_, 0.0);
-      rho_[r] = 1.0;
-      lu_->btran(rho_);
-    } else {
-      dense_.pivot_row(r, rho_);
-    }
+    std::fill(rho_, rho_ + m_, 0.0);
+    rho_[r] = 1.0;
+    lu_.btran(rho_);
   }
 
   // Forrest-Goldfarb devex weight update after pivoting entering column
@@ -629,7 +545,7 @@ class Tableau {
     if (std::fabs(alpha_q) < 1e-12) return;
     load_pivot_row(r);
     std::copy(w_, w_ + m_, sev_);
-    btran_vec(sev_);
+    lu_.btran(sev_);
     const double gamma_q = weights_[q];
     for (std::size_t j = 0; j < n_total_; ++j) {
       if (state_[j] == VarState::kBasic || j == q) continue;
@@ -651,9 +567,7 @@ class Tableau {
 
   SimplexOptions opt_;
   SimplexWorkspace& ws_;
-  const bool use_lu_;
-  BasisLu* lu_ = nullptr;  // workspace-owned; set when use_lu_
-  BasisDense dense_;       // engaged when !use_lu_
+  BasisLu& lu_;  // workspace-owned, pools kept across solves
 
   std::size_t m_ = 0;
   std::size_t n_struct_ = 0;
@@ -690,9 +604,6 @@ class Tableau {
   std::size_t* bcol_ptr_ = nullptr;
   std::size_t* bcol_row_ = nullptr;
   double* bcol_val_ = nullptr;
-  // Dense column-major copy, materialized only for force-dense pricing.
-  double* dense_cols_ = nullptr;
-  bool sparse_pricing_ = false;
 };
 
 }  // namespace
@@ -790,9 +701,6 @@ Solution SimplexSolver::solve_impl(const Problem& problem,
   obs::Registry& reg = obs::Registry::global();
   reg.counter("lp.simplex.workspace_reuses").add(ws.reuses() - ws_reuses);
   reg.counter("lp.simplex.workspace_grows").add(ws.grows() - ws_grows);
-  if (t.sparse_pricing()) {
-    reg.counter("lp.sparse.simplex_pricing_solves").add();
-  }
   // Basis-kernel telemetry is flushed once per solve so the pivot loop
   // itself stays free of registry lookups (they build map-key strings).
   const auto report_kernel = [&] {

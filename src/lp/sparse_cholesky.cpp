@@ -354,9 +354,9 @@ NormalCholesky::NormalCholesky(
       ++next[i];
     }
     if (diag < floor) {
-      // Same contract as the dense Cholesky: IPM systems drift to
-      // semidefinite near the central-path boundary, never strongly
-      // indefinite — a large negative pivot is a modelling bug.
+      // IPM systems drift to semidefinite near the central-path boundary,
+      // never strongly indefinite — a large negative pivot is a modelling
+      // bug.
       if (diag < -1e-6 * scale) {
         throw SolverError("sparse Cholesky: matrix is indefinite");
       }

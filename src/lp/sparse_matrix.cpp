@@ -1,20 +1,10 @@
 #include "lp/sparse_matrix.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/error.h"
 
 namespace mecsched::lp {
-
-bool use_sparse_kernels(std::size_t rows, std::size_t cols, std::size_t nnz,
-                        SparseMode mode) {
-  if (mode == SparseMode::kForceDense) return false;
-  if (mode == SparseMode::kForceSparse) return true;
-  if (rows < kSparseMinRows || cols == 0) return false;
-  const double cells = static_cast<double>(rows) * static_cast<double>(cols);
-  return static_cast<double>(nnz) <= kSparseDensityThreshold * cells;
-}
 
 SparseMatrix SparseMatrix::from_triplets(std::size_t rows, std::size_t cols,
                                          std::vector<Triplet> triplets) {
@@ -47,36 +37,6 @@ SparseMatrix SparseMatrix::from_triplets(std::size_t rows, std::size_t cols,
       }
     }
     out.row_ptr_[r + 1] = out.col_idx_.size();
-  }
-  return out;
-}
-
-SparseMatrix SparseMatrix::from_dense(const Matrix& dense,
-                                      double drop_tolerance) {
-  SparseMatrix out;
-  out.rows_ = dense.rows();
-  out.cols_ = dense.cols();
-  out.row_ptr_.assign(out.rows_ + 1, 0);
-  for (std::size_t r = 0; r < out.rows_; ++r) {
-    const double* row = dense.row(r);
-    for (std::size_t c = 0; c < out.cols_; ++c) {
-      if (std::fabs(row[c]) > drop_tolerance) {
-        out.col_idx_.push_back(c);
-        out.values_.push_back(row[c]);
-      }
-    }
-    out.row_ptr_[r + 1] = out.col_idx_.size();
-  }
-  return out;
-}
-
-Matrix SparseMatrix::to_dense() const {
-  Matrix out(rows_, cols_);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    double* row = out.row(r);
-    for (std::size_t p = row_ptr_[r]; p < row_ptr_[r + 1]; ++p) {
-      row[col_idx_[p]] = values_[p];
-    }
   }
   return out;
 }

@@ -71,9 +71,10 @@ class Histogram {
   std::vector<std::uint64_t> cumulative_buckets() const;
   // Approximate quantile (q in [0,1]) from the bucket counts: linear
   // interpolation inside the selected bucket, clamped to the observed
-  // min/max. NaN when empty. The log10 grid makes this a ~10% estimate —
-  // good enough for p50/p90/p99 summary columns, not for assertions on
-  // exact values.
+  // min/max. NaN when empty. With one bucket per decade the error is
+  // bounded only by the bucket: the estimate can land anywhere in the
+  // decade that holds the true quantile, up to 10x off, so it is a coarse
+  // summary column, not a value to assert or gate on.
   double approx_percentile(double q) const;
   // Folds another histogram's samples in: summaries merge via
   // Summary::merge, buckets add element-wise (the shared static grid makes

@@ -210,28 +210,10 @@ TEST(LpHtaTest, DegenerateWarmHintsAreHarmless) {
   }
 }
 
-// The basis kernel is an implementation detail of Step 1: the eta-file LU
-// default and the dense-inverse comparator must produce the *same
-// decisions* task for task (the rounding in Steps 2-6 is deterministic in
+// The pricing rule is an implementation detail of Step 1: different pivot
+// paths, same assignment (the rounding in Steps 2-6 is deterministic in
 // the LP vertex, and these cluster LPs have unique optima for generic
 // costs).
-TEST(LpHtaTest, BasisKernelsProduceIdenticalAssignments) {
-  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    const auto s = small_scenario(seed, 40, 12, 3);
-    const HtaInstance inst(s.topology, s.tasks);
-
-    LpHtaOptions lu;
-    lu.basis = lp::BasisKernel::kEtaLu;
-    LpHtaOptions dense;
-    dense.basis = lp::BasisKernel::kDenseInverse;
-
-    const Assignment a = LpHta(lu).assign(inst);
-    const Assignment b = LpHta(dense).assign(inst);
-    EXPECT_EQ(a.decisions, b.decisions) << "seed " << seed;
-  }
-}
-
-// Pricing rules likewise: different pivot paths, same assignment.
 TEST(LpHtaTest, PricingRulesProduceIdenticalAssignments) {
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     const auto s = small_scenario(seed, 36, 12, 3);

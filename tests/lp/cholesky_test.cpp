@@ -1,4 +1,4 @@
-#include "lp/cholesky.h"
+#include "lp/reference/cholesky.h"
 
 #include <gtest/gtest.h>
 

@@ -1,4 +1,4 @@
-#include "lp/matrix.h"
+#include "lp/reference/matrix.h"
 
 #include <gtest/gtest.h>
 

@@ -49,6 +49,10 @@ std::vector<NamedOptions> option_grid() {
   frequent_refactor.refactor_period = 1;  // refactorize every pivot
   out.push_back({"refactor-every-pivot", frequent_refactor});
 
+  SimplexOptions zero_refactor;
+  zero_refactor.refactor_period = 0;  // refactorize before every pivot
+  out.push_back({"refactor-period-zero", zero_refactor});
+
   SimplexOptions rare_refactor;
   rare_refactor.refactor_period = 100'000;  // effectively never
   out.push_back({"refactor-never", rare_refactor});

@@ -10,8 +10,8 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "lp/cholesky.h"
-#include "lp/matrix.h"
+#include "lp/reference/cholesky.h"
+#include "lp/reference/matrix.h"
 #include "lp/sparse_cholesky.h"
 #include "lp/sparse_matrix.h"
 
@@ -36,22 +36,6 @@ SparseMatrix random_full_rank(mecsched::Rng& rng, std::size_t m,
   return SparseMatrix::from_triplets(m, n, std::move(t));
 }
 
-// Dense M = A·diag(d)·Aᵀ reference.
-Matrix dense_normal(const SparseMatrix& a, const std::vector<double>& d) {
-  const Matrix ad = a.to_dense();
-  Matrix m(a.rows(), a.rows());
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    for (std::size_t j = 0; j < a.rows(); ++j) {
-      double acc = 0.0;
-      for (std::size_t k = 0; k < a.cols(); ++k) {
-        acc += ad(i, k) * d[k] * ad(j, k);
-      }
-      m(i, j) = acc;
-    }
-  }
-  return m;
-}
-
 TEST(SparseCholeskyTest, SolveMatchesDenseCholesky) {
   mecsched::Rng rng(42);
   const std::size_t m = 40, n = 90;
@@ -66,7 +50,7 @@ TEST(SparseCholeskyTest, SolveMatchesDenseCholesky) {
   const NormalCholesky sparse(a, at, d, sym);
   const std::vector<double> xs = sparse.solve(b);
 
-  const Matrix mref = dense_normal(a, d);
+  const Matrix mref = normal_matrix(to_dense(a), d);
   const Cholesky dense(mref);
   const std::vector<double> xd = dense.solve(b);
 
@@ -99,7 +83,7 @@ TEST(SparseCholeskyTest, SymbolicReusesAcrossNumericRefactorizations) {
     for (double& v : b) v = rng.uniform(-1.0, 1.0);
     const NormalCholesky chol(a, at, d, sym);
     const std::vector<double> x = chol.solve(b);
-    const std::vector<double> mx = dense_normal(a, d).multiply(x);
+    const std::vector<double> mx = normal_matrix(to_dense(a), d).multiply(x);
     for (std::size_t i = 0; i < m; ++i) EXPECT_NEAR(mx[i], b[i], 1e-6);
     EXPECT_DOUBLE_EQ(chol.regularization(), 0.0);
   }

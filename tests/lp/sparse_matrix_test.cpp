@@ -1,12 +1,12 @@
 // Unit tests for the CSR matrix: assembly, algebra against the dense
-// reference, the pattern fingerprint and the kernel-dispatch policy.
+// reference and the pattern fingerprint.
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <vector>
 
 #include "common/rng.h"
-#include "lp/matrix.h"
+#include "lp/reference/matrix.h"
 #include "lp/sparse_matrix.h"
 
 namespace mecsched::lp {
@@ -31,9 +31,9 @@ TEST(SparseMatrixTest, DenseRoundtrip) {
   d(0, 0) = 1.5;
   d(1, 3) = -2.0;
   d(2, 1) = 0.25;
-  const SparseMatrix a = SparseMatrix::from_dense(d);
+  const SparseMatrix a = sparse_from_dense(d);
   EXPECT_EQ(a.nnz(), 3u);
-  const Matrix back = a.to_dense();
+  const Matrix back = to_dense(a);
   for (std::size_t r = 0; r < 3; ++r) {
     for (std::size_t c = 0; c < 4; ++c) {
       EXPECT_DOUBLE_EQ(back(r, c), d(r, c));
@@ -57,7 +57,7 @@ TEST(SparseMatrixTest, MultiplyMatchesDenseReference) {
       if (rng.bernoulli(0.2)) d(r, c) = rng.uniform(-3.0, 3.0);
     }
   }
-  const SparseMatrix a = SparseMatrix::from_dense(d);
+  const SparseMatrix a = sparse_from_dense(d);
 
   std::vector<double> x(d.cols());
   for (double& v : x) v = rng.uniform(-1.0, 1.0);
@@ -104,24 +104,6 @@ TEST(SparseMatrixTest, FingerprintTracksPatternNotValues) {
   const SparseMatrix taller =
       SparseMatrix::from_triplets(4, 3, {{0, 1, 1.0}, {2, 2, 2.0}});
   EXPECT_NE(a.pattern_fingerprint(), taller.pattern_fingerprint());
-}
-
-TEST(SparseMatrixTest, DispatchPolicy) {
-  // Force modes win unconditionally.
-  EXPECT_FALSE(use_sparse_kernels(1000, 1000, 10, SparseMode::kForceDense));
-  EXPECT_TRUE(use_sparse_kernels(2, 2, 4, SparseMode::kForceSparse));
-  // Small systems stay dense regardless of density.
-  EXPECT_FALSE(use_sparse_kernels(kSparseMinRows - 1, 1000, 10,
-                                  SparseMode::kAuto));
-  // Large sparse systems go sparse; large dense ones do not.
-  const std::size_t m = kSparseMinRows;
-  const std::size_t n = 100;
-  const auto budget = static_cast<std::size_t>(
-      kSparseDensityThreshold * static_cast<double>(m * n));
-  EXPECT_TRUE(use_sparse_kernels(m, n, budget, SparseMode::kAuto));
-  EXPECT_FALSE(use_sparse_kernels(m, n, budget + 1, SparseMode::kAuto));
-  // Degenerate shapes never pick the sparse path under kAuto.
-  EXPECT_FALSE(use_sparse_kernels(m, 0, 0, SparseMode::kAuto));
 }
 
 }  // namespace

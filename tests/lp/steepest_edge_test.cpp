@@ -50,21 +50,6 @@ TEST(SteepestEdgeTest, BealeCyclingExampleTerminates) {
   EXPECT_NEAR(s.objective, -0.05, 1e-8);
 }
 
-TEST(SteepestEdgeTest, WorksOnBothBasisKernels) {
-  Problem p;
-  const auto x = p.add_variable(-2.0, 0.0, 4.0);
-  const auto y = p.add_variable(-3.0, 0.0, 4.0);
-  p.add_constraint({{x, 1.0}, {y, 2.0}}, Relation::kLessEqual, 8.0);
-  for (const BasisKernel kernel :
-       {BasisKernel::kEtaLu, BasisKernel::kDenseInverse}) {
-    SimplexOptions o = steepest_options();
-    o.basis = kernel;
-    const Solution s = SimplexSolver(o).solve(p);
-    ASSERT_TRUE(s.optimal());
-    EXPECT_NEAR(s.objective, -14.0, 1e-8);
-  }
-}
-
 class SteepestEdgeEquivalence : public ::testing::TestWithParam<int> {};
 
 TEST_P(SteepestEdgeEquivalence, MatchesDantzigOnRandomLps) {

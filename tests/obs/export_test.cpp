@@ -100,7 +100,7 @@ TEST(PrometheusExportTest, SparseKernelSeriesFormatCorrectly) {
   // dotted names must sanitize to mecsched_lp_sparse_* with the _total
   // suffix only on counters.
   Registry reg;
-  reg.counter("lp.sparse.ipm_solves").add(3);
+  reg.counter("lp.sparse.pattern_cache_evictions").add(3);
   reg.counter("lp.sparse.pattern_cache_hits").add(17);
   reg.counter("lp.sparse.pattern_cache_misses").add();
   reg.gauge("lp.sparse.last_fill_ratio").set(1.25);
@@ -108,9 +108,11 @@ TEST(PrometheusExportTest, SparseKernelSeriesFormatCorrectly) {
   reg.histogram("lp.sparse.fill_ratio").observe(1.25);
 
   const std::string text = to_prometheus(reg);
-  EXPECT_NE(text.find("# TYPE mecsched_lp_sparse_ipm_solves_total counter\n"
-                      "mecsched_lp_sparse_ipm_solves_total 3\n"),
-            std::string::npos);
+  EXPECT_NE(
+      text.find("# TYPE mecsched_lp_sparse_pattern_cache_evictions_total "
+                "counter\n"
+                "mecsched_lp_sparse_pattern_cache_evictions_total 3\n"),
+      std::string::npos);
   EXPECT_NE(
       text.find("# TYPE mecsched_lp_sparse_pattern_cache_hits_total counter\n"
                 "mecsched_lp_sparse_pattern_cache_hits_total 17\n"),
@@ -133,14 +135,14 @@ TEST(PrometheusExportTest, SparseKernelSeriesFormatCorrectly) {
 
 TEST(SummaryTableTest, SparseKernelCountersAppearInSummary) {
   Registry reg;
-  reg.counter("lp.sparse.ipm_solves").add(2);
-  reg.counter("lp.sparse.simplex_pricing_solves").add(5);
+  reg.counter("lp.sparse.pattern_cache_hits").add(2);
+  reg.counter("lp.sparse.pattern_cache_misses").add(5);
   reg.gauge("lp.sparse.last_nnz").set(730);
   std::ostringstream os;
   os << summary_table(reg);
   const std::string text = os.str();
   for (const char* needle :
-       {"lp.sparse.ipm_solves", "lp.sparse.simplex_pricing_solves",
+       {"lp.sparse.pattern_cache_hits", "lp.sparse.pattern_cache_misses",
         "lp.sparse.last_nnz"}) {
     EXPECT_NE(text.find(needle), std::string::npos) << needle;
   }

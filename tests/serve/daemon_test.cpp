@@ -83,6 +83,31 @@ TEST(ServeDaemonTest, DecisionLogIsByteIdenticalAcrossWorkerCounts) {
   EXPECT_GT(r1.decisions, 0u);
 }
 
+// Pins the decision log of a fixed warm-started replay. Any change to the
+// LP kernels, the pricing arithmetic or the shard solve path that alters a
+// single decision, latency or energy shows up here.
+// The replay is sized so its cluster LPs span both sides of 32 rows.
+TEST(ServeDaemonTest, WarmStartedReplayMatchesPinnedDigest) {
+  workload::ServeTraceConfig cfg;
+  cfg.scenario.num_devices = 120;
+  cfg.scenario.num_base_stations = 6;
+  cfg.scenario.seed = 5;
+  cfg.epochs = 4;
+  cfg.epoch_s = 0.5;
+  cfg.arrival_rate_per_s = 240.0;
+  cfg.leave_rate_per_s = 4.0;
+  cfg.migrate_rate_per_s = 4.0;
+  const workload::ServeWorkload w = workload::make_serve_workload(cfg);
+  ServeOptions opts;
+  opts.sharding.num_shards = 3;
+  opts.jobs = 2;
+  ASSERT_TRUE(opts.warm_start);
+  DecisionLog log;
+  const ServeResult r = ServeDaemon(opts).run(w.universe, w.trace, &log);
+  EXPECT_GT(r.decisions, 0u);
+  EXPECT_EQ(log.digest(), 0x2460d8cf31dfc4f9ull);
+}
+
 TEST(ServeDaemonTest, AdmittedTasksAllReachExactlyOneTerminalState) {
   const workload::ServeWorkload w = churny_workload();
   ServeOptions opts;
