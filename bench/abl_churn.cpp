@@ -1,9 +1,9 @@
 // Ablation — resilience under churn. Sweeps churn intensity (device MTBF,
 // with correlated cell outages and link fading riding along) and compares
-// the resilient rolling-horizon controller against replaying a one-shot
-// clairvoyant LP-HTA plan through the same fault schedule. The controller
-// should convert a slice of the replay's losses into retries, DTA rescues
-// and fallback-rung service.
+// the serve daemon's rolling-horizon loop, fed the fault schedule as a
+// trace, against replaying a one-shot clairvoyant LP-HTA plan through the
+// same schedule. The daemon should convert a slice of the replay's losses
+// into retries, DTA rescues and fallback-rung service.
 #include <iostream>
 #include <utility>
 #include <vector>
@@ -11,9 +11,9 @@
 #include "assign/hta_instance.h"
 #include "assign/lp_hta.h"
 #include "bench/bench_common.h"
-#include "control/resilient.h"
 #include "exec/sweep_runner.h"
 #include "metrics/series.h"
+#include "serve/daemon.h"
 #include "sim/simulator.h"
 #include "workload/arrivals.h"
 #include "workload/faults.h"
@@ -62,9 +62,9 @@ int main() {
           workload::make_fault_schedule(fm, s.topology);
 
       // Every external-data task doubles as a divisible one: a single item
-      // held by its owner plus one replica, so the controller can re-divide
+      // held by its owner plus one replica, so the daemon can re-divide
       // when the owner dies.
-      control::SharedDataView shared;
+      serve::SharedDataView shared;
       shared.ownership.resize(s.topology.num_devices());
       shared.task_items.resize(s.tasks.size());
       for (std::size_t t = 0; t < s.tasks.size(); ++t) {
@@ -79,18 +79,24 @@ int main() {
         shared.task_items[t].push_back(item);
       }
 
-      control::ResilientOptions opts;
-      opts.max_attempts = 4;
-      const control::ResilientResult r = control::ResilientController(opts).run(
-          s.topology, s.tasks, faults, &shared);
+      // One shard, cold solves: each epoch's plan depends on its own batch.
+      serve::ServeOptions opts;
+      opts.readmission.max_attempts = 4;
+      opts.warm_start = false;
+      const serve::ServeResult r = serve::ServeDaemon(opts).run(
+          s.topology, workload::to_serve_trace(s, faults), nullptr, {},
+          &shared);
+      const double unsat_rate =
+          static_cast<double>(s.tasks.size() - r.completed) /
+          static_cast<double>(s.tasks.size());
       CellResult cell;
-      cell.rungs_cover_epochs = r.rungs.total() <= r.epochs;
+      cell.rungs_cover_epochs = r.rungs.total() <= r.decide_epochs;
 
       // One-shot replay: clairvoyant LP-HTA plan, then the same faults.
       std::vector<mec::Task> tasks;
       sim::SimOptions replay_opts;
       replay_opts.faults = faults;
-      for (const assign::TimedTask& tt : s.tasks) {
+      for (const workload::TimedTask& tt : s.tasks) {
         tasks.push_back(tt.task);
         replay_opts.release_times.push_back(tt.release_s);
       }
@@ -106,13 +112,13 @@ int main() {
         if (missed) ++replay_unsat;
       }
 
-      cell.values.emplace_back("resilient-unsat-rate", r.unsatisfied_rate());
+      cell.values.emplace_back("resilient-unsat-rate", unsat_rate);
       cell.values.emplace_back("replay-unsat-rate",
                                static_cast<double>(replay_unsat) /
                                    static_cast<double>(tasks.size()));
       cell.values.emplace_back("retries", static_cast<double>(r.retries));
       cell.values.emplace_back("rescued-by-dta",
-                               static_cast<double>(r.rescued_by_dta));
+                               static_cast<double>(r.rescued));
       cell.values.emplace_back(
           "rung-lp-hta",
           static_cast<double>(r.rungs.at(control::FallbackRung::kLpHta)));

@@ -1,14 +1,16 @@
 // Ablation — online (epoch-batched) LP-HTA vs the clairvoyant offline
 // assignment on Poisson task streams: the price of not knowing the future,
-// as a function of arrival rate.
+// as a function of arrival rate. The online policy is the serve daemon on
+// a churn-free trace: one shard, one attempt per task, cold solves.
 #include <iostream>
+#include <vector>
 
 #include "assign/evaluator.h"
 #include "assign/hta_instance.h"
 #include "assign/lp_hta.h"
-#include "assign/online.h"
 #include "bench/bench_common.h"
 #include "metrics/series.h"
+#include "serve/daemon.h"
 #include "workload/arrivals.h"
 
 int main() {
@@ -32,8 +34,13 @@ int main() {
       cfg.arrival_rate_per_s = rate;
       const auto s = workload::make_timed_scenario(cfg);
 
-      const assign::OnlineResult online =
-          assign::OnlineScheduler().run(s.topology, s.tasks);
+      serve::ServeOptions opts;
+      opts.readmission.max_attempts = 1;
+      opts.warm_start = false;
+      std::vector<serve::TaskOutcome> outcomes;
+      const serve::ServeResult online = serve::ServeDaemon(opts).run(
+          s.topology, workload::to_serve_trace(s), nullptr, {}, nullptr,
+          &outcomes);
 
       std::vector<mec::Task> all;
       all.reserve(s.tasks.size());
@@ -44,9 +51,10 @@ int main() {
       series.add(rate, "offline-energy", offline.total_energy_j);
       series.add(rate, "online-energy", online.total_energy_j);
       series.add(rate, "online-cancelled",
-                 static_cast<double>(online.cancelled));
-      series.add(rate, "mean-response-s", online.mean_response_s);
-      series.add(rate, "epochs", static_cast<double>(online.epochs));
+                 static_cast<double>(online.expired + online.exhausted));
+      series.add(rate, "mean-response-s",
+                 workload::mean_response_s(s, outcomes));
+      series.add(rate, "epochs", static_cast<double>(online.decide_epochs));
     }
   }
 

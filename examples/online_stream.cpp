@@ -1,17 +1,18 @@
 // Online stream — tasks arrive over time (Poisson) instead of all at once,
-// the regime the paper's quasi-static model abstracts away. The
-// OnlineScheduler extension batches arrivals into epochs and re-runs
-// LP-HTA against the residual capacities; this example compares it with
-// the clairvoyant offline plan and shows the epoch-length trade-off.
+// the regime the paper's quasi-static model abstracts away. The serve
+// daemon batches arrivals into epochs and re-runs LP-HTA against the
+// residual capacities; this example compares it with the clairvoyant
+// offline plan and shows the epoch-length trade-off.
 //
 //   $ ./build/examples/online_stream
 #include <iostream>
+#include <vector>
 
 #include "assign/evaluator.h"
 #include "assign/hta_instance.h"
 #include "assign/lp_hta.h"
-#include "assign/online.h"
 #include "common/table.h"
+#include "serve/daemon.h"
 #include "workload/arrivals.h"
 
 int main() {
@@ -42,16 +43,22 @@ int main() {
 
   double fast_cancelled = 0.0, slow_cancelled = 0.0;
   for (double epoch : {0.1, 0.5, 2.0}) {
-    assign::OnlineOptions opts;
-    opts.epoch_s = epoch;
-    const assign::OnlineResult r =
-        assign::OnlineScheduler(opts).run(stream.topology, stream.tasks);
+    // Rolling-horizon LP-HTA: one shard, one attempt per task, cold solves.
+    serve::ServeOptions opts;
+    opts.batching.window_s = epoch;
+    opts.readmission.max_attempts = 1;
+    opts.warm_start = false;
+    std::vector<serve::TaskOutcome> outcomes;
+    const serve::ServeResult r = serve::ServeDaemon(opts).run(
+        stream.topology, workload::to_serve_trace(stream), nullptr, {},
+        nullptr, &outcomes);
+    const std::size_t cancelled = r.expired + r.exhausted;
     table.add_row({"online, epoch " + Table::num(epoch, 1) + " s",
                    Table::num(r.total_energy_j, 1),
-                   Table::num(r.mean_response_s, 2),
-                   std::to_string(r.cancelled), std::to_string(r.epochs)});
-    if (epoch == 0.1) fast_cancelled = static_cast<double>(r.cancelled);
-    if (epoch == 2.0) slow_cancelled = static_cast<double>(r.cancelled);
+                   Table::num(workload::mean_response_s(stream, outcomes), 2),
+                   std::to_string(cancelled), std::to_string(r.decide_epochs)});
+    if (epoch == 0.1) fast_cancelled = static_cast<double>(cancelled);
+    if (epoch == 2.0) slow_cancelled = static_cast<double>(cancelled);
   }
   std::cout << table << '\n';
   std::cout << "short epochs react fast (fewer deadline cancellations) but\n"

@@ -31,7 +31,6 @@
 #include "common/error.h"
 #include "common/table.h"
 #include "control/fallback.h"
-#include "control/resilient.h"
 #include "dta/pipeline.h"
 #include "exec/instance_cache.h"
 #include "exec/sweep_runner.h"
@@ -79,6 +78,22 @@ std::unique_ptr<assign::Assigner> make_assigner(const std::string& name) {
   throw ModelError("unknown algorithm: " + name +
                    " (try lp-hta, lp-hta-ipm, hgos, alltoc, alloffload, "
                    "local-first, random, exact, brd, portfolio)");
+}
+
+std::string hex64(std::uint64_t v) {
+  char buf[17];
+  std::snprintf(buf, sizeof(buf), "%016llx",
+                static_cast<unsigned long long>(v));
+  return std::string(buf);
+}
+
+io::Json rung_histogram_to_json(const control::RungHistogram& h) {
+  io::JsonObject rungs;
+  for (std::size_t i = 0; i < control::kNumRungs; ++i) {
+    const auto rung = static_cast<control::FallbackRung>(i);
+    rungs[control::to_string(rung)] = h.at(rung);
+  }
+  return io::Json(std::move(rungs));
 }
 
 workload::Scenario load_scenario(const ArgParser& args) {
@@ -485,11 +500,35 @@ int cmd_online(const std::vector<std::string>& tokens, std::ostream& out) {
   MECSCHED_REQUIRE(!path.empty(), "--scenario <file> is required");
   const workload::TimedScenario scenario =
       io::timed_scenario_from_json(io::Json::parse(io::read_file(path)));
-  assign::OnlineOptions opts;
-  opts.epoch_s = args.get_num("epoch-s", opts.epoch_s);
-  const assign::OnlineResult r =
-      assign::OnlineScheduler(opts).run(scenario.topology, scenario.tasks);
-  emit(io::online_result_to_json(r), args, out);
+  // Rolling-horizon LP-HTA: one shard, one attempt per task, no churn,
+  // cold solves (each epoch's plan depends on its own batch alone).
+  serve::ServeOptions opts;
+  opts.batching.window_s = args.get_num("epoch-s", opts.batching.window_s);
+  opts.readmission.max_attempts = 1;
+  opts.warm_start = false;
+  std::vector<serve::TaskOutcome> outcomes;
+  const serve::ServeResult r = serve::ServeDaemon(opts).run(
+      scenario.topology, workload::to_serve_trace(scenario), nullptr, {},
+      nullptr, &outcomes);
+
+  io::JsonArray tasks;
+  for (const serve::TaskOutcome& t : outcomes) {
+    io::JsonObject tj;
+    tj["decision"] = io::Json(assign::to_string(t.decision));
+    if (t.decision != assign::Decision::kCancelled) {
+      tj["start_s"] = t.start_s;
+      tj["finish_s"] = t.finish_s;
+    }
+    tasks.emplace_back(std::move(tj));
+  }
+  io::JsonObject o;
+  o["total_energy_j"] = r.total_energy_j;
+  o["mean_response_s"] = workload::mean_response_s(scenario, outcomes);
+  o["makespan_s"] = r.makespan_s;
+  o["cancelled"] = r.expired + r.exhausted;
+  o["epochs"] = r.decide_epochs;
+  o["outcomes"] = io::Json(std::move(tasks));
+  emit(io::Json(std::move(o)), args, out);
   return 0;
 }
 
@@ -622,36 +661,39 @@ int cmd_churn(const std::vector<std::string>& tokens, std::ostream& out) {
   const sim::FaultSchedule faults =
       workload::make_fault_schedule(faults_cfg, scenario.topology);
 
-  control::ResilientOptions opts;
+  serve::ServeOptions opts;
   // Presolve preserves the LP optimum exactly; turning it on here keeps the
-  // churn trace representative of the full solver pipeline.
+  // churn trace representative of the full solver pipeline. One shard and
+  // cold solves: each epoch's plan depends on its own batch alone.
   opts.lp.presolve = true;
-  opts.epoch_s = args.get_num("epoch-s", opts.epoch_s);
-  opts.max_attempts = args.get_count("max-attempts", opts.max_attempts);
-  const control::ResilientResult r =
-      control::ResilientController(opts).run(scenario.topology, scenario.tasks,
-                                             faults);
+  opts.batching.window_s = args.get_num("epoch-s", opts.batching.window_s);
+  opts.readmission.max_attempts =
+      args.get_count("max-attempts", opts.readmission.max_attempts);
+  opts.warm_start = false;
+  serve::DecisionLog log;
+  const serve::ServeResult r = serve::ServeDaemon(opts).run(
+      scenario.topology, workload::to_serve_trace(scenario, faults), &log);
 
+  const std::size_t tasks = scenario.tasks.size();
+  const std::size_t unsatisfied = tasks - r.completed;
   io::JsonObject o;
-  o["tasks"] = scenario.tasks.size();
+  o["tasks"] = tasks;
   o["fault_events"] = faults.size();
   o["device_failures"] = faults.device_failures();
   o["station_failures"] = faults.station_failures();
   o["completed"] = r.completed;
-  o["unsatisfied"] = r.unsatisfied;
-  o["unsatisfied_rate"] = r.unsatisfied_rate();
+  o["unsatisfied"] = unsatisfied;
+  o["unsatisfied_rate"] =
+      tasks == 0 ? 0.0
+                 : static_cast<double>(unsatisfied) / static_cast<double>(tasks);
   o["retries"] = r.retries;
   o["orphaned"] = r.orphaned;
-  o["rescued_by_dta"] = r.rescued_by_dta;
-  o["epochs"] = r.epochs;
+  o["rescued_by_dta"] = r.rescued;
+  o["epochs"] = r.decide_epochs;
   o["total_energy_j"] = r.total_energy_j;
   o["makespan_s"] = r.makespan_s;
-  io::JsonObject rungs;
-  for (std::size_t i = 0; i < control::kNumRungs; ++i) {
-    const auto rung = static_cast<control::FallbackRung>(i);
-    rungs[control::to_string(rung)] = r.rungs.at(rung);
-  }
-  o["fallback_rungs"] = io::Json(std::move(rungs));
+  o["fallback_rungs"] = rung_histogram_to_json(r.rungs);
+  o["decision_digest"] = hex64(log.digest());
   emit(io::Json(std::move(o)), args, out);
   return 0;
 }
@@ -885,13 +927,6 @@ workload::ServeTraceConfig serve_trace_config_from_args(const ArgParser& args) {
   return cfg;
 }
 
-std::string hex64(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(v));
-  return std::string(buf);
-}
-
 }  // namespace
 
 int cmd_generate_serve(const std::vector<std::string>& tokens,
@@ -984,12 +1019,7 @@ int cmd_serve(const std::vector<std::string>& tokens, std::ostream& out) {
   o["virtual_now_s"] = r.virtual_now_s;
   o["stopped_early"] = io::Json(r.stopped_early);
   o["decision_digest"] = hex64(log.digest());
-  io::JsonObject rungs;
-  for (std::size_t i = 0; i < control::kNumRungs; ++i) {
-    const auto rung = static_cast<control::FallbackRung>(i);
-    rungs[control::to_string(rung)] = r.rungs.at(rung);
-  }
-  o["fallback_rungs"] = io::Json(std::move(rungs));
+  o["fallback_rungs"] = rung_histogram_to_json(r.rungs);
   emit(io::Json(std::move(o)), args, out);
   return 0;
 }

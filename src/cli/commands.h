@@ -11,11 +11,12 @@
 //   dta             — run the DTA pipeline on a shared scenario
 //   sensitivity     — capacity shadow prices of a scenario
 //   trace           — simulate a plan and dump the event timeline
-//   generate-arrivals — Poisson-timed scenario for the online scheduler
-//   online          — run the rolling-horizon scheduler on a timed scenario
+//   generate-arrivals — Poisson-timed scenario for online scheduling
+//   online          — rolling-horizon LP-HTA (the serve loop) on a timed
+//                     scenario
 //   breakdown       — itemized Sec. II cost legs of one task
 //   recover         — repair a plan after a device failure
-//   churn           — run the resilient controller under generated churn
+//   churn           — the serve loop under a generated fault schedule
 //   sweep           — run a named figure grid on the parallel sweep runner
 //   chaos           — solver fault-injection drill over the fallback chain
 //   generate-serve  — build a serve workload (universe + event trace)

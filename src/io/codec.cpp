@@ -99,8 +99,8 @@ mec::Topology topology_from_json(const Json& j) {
   std::vector<mec::Device> devices;
   for (const Json& dj : j.at("devices").as_array()) {
     mec::Device d;
-    d.id = static_cast<std::size_t>(dj.at("id").as_number());
-    d.base_station = static_cast<std::size_t>(dj.at("base_station").as_number());
+    d.id = dj.at("id").as_index();
+    d.base_station = dj.at("base_station").as_index();
     d.cpu_hz = dj.at("cpu_hz").as_number();
     d.radio = radio_from_json(dj.at("radio"));
     d.max_resource = dj.at("max_resource").as_number();
@@ -109,7 +109,7 @@ mec::Topology topology_from_json(const Json& j) {
   std::vector<mec::BaseStation> stations;
   for (const Json& sj : j.at("base_stations").as_array()) {
     mec::BaseStation s;
-    s.id = static_cast<std::size_t>(sj.at("id").as_number());
+    s.id = sj.at("id").as_index();
     s.cpu_hz = sj.at("cpu_hz").as_number();
     s.max_resource = sj.at("max_resource").as_number();
     stations.push_back(s);
@@ -138,11 +138,11 @@ Json task_to_json(const mec::Task& t) {
 
 mec::Task task_from_json(const Json& j) {
   mec::Task t;
-  t.id.user = static_cast<std::size_t>(j.at("user").as_number());
-  t.id.index = static_cast<std::size_t>(j.at("index").as_number());
+  t.id.user = j.at("user").as_index();
+  t.id.index = j.at("index").as_index();
   t.local_bytes = j.at("local_bytes").as_number();
   t.external_bytes = j.at("external_bytes").as_number();
-  t.external_owner = static_cast<std::size_t>(j.at("external_owner").as_number());
+  t.external_owner = j.at("external_owner").as_index();
   t.cycles_per_byte = j.number_or("cycles_per_byte", t.cycles_per_byte);
   if (j.contains("result_kind")) {
     const std::string& kind = j.at("result_kind").as_string();
@@ -207,13 +207,9 @@ Json config_to_json(const workload::ScenarioConfig& c) {
 
 workload::ScenarioConfig config_from_json(const Json& j) {
   workload::ScenarioConfig c;  // defaults for absent keys
-  c.num_devices =
-      static_cast<std::size_t>(j.number_or("num_devices",
-                                           static_cast<double>(c.num_devices)));
-  c.num_base_stations = static_cast<std::size_t>(j.number_or(
-      "num_base_stations", static_cast<double>(c.num_base_stations)));
-  c.num_tasks = static_cast<std::size_t>(
-      j.number_or("num_tasks", static_cast<double>(c.num_tasks)));
+  c.num_devices = j.index_or("num_devices", c.num_devices);
+  c.num_base_stations = j.index_or("num_base_stations", c.num_base_stations);
+  c.num_tasks = j.index_or("num_tasks", c.num_tasks);
   c.max_input_kb = j.number_or("max_input_kb", c.max_input_kb);
   c.min_input_fraction = j.number_or("min_input_fraction", c.min_input_fraction);
   c.external_ratio_max = j.number_or("external_ratio_max", c.external_ratio_max);
@@ -248,7 +244,7 @@ Json timed_scenario_to_json(const workload::TimedScenario& scenario) {
   JsonObject root;
   root["topology"] = topology_to_json(scenario.topology);
   JsonArray tasks;
-  for (const assign::TimedTask& t : scenario.tasks) {
+  for (const workload::TimedTask& t : scenario.tasks) {
     Json tj = task_to_json(t.task);
     tj.as_object()["release_s"] = Json(t.release_s);
     tasks.push_back(std::move(tj));
@@ -258,36 +254,15 @@ Json timed_scenario_to_json(const workload::TimedScenario& scenario) {
 }
 
 workload::TimedScenario timed_scenario_from_json(const Json& j) {
-  std::vector<assign::TimedTask> tasks;
+  std::vector<workload::TimedTask> tasks;
   for (const Json& tj : j.at("tasks").as_array()) {
-    assign::TimedTask t;
+    workload::TimedTask t;
     t.task = task_from_json(tj);
     t.release_s = tj.at("release_s").as_number();
     tasks.push_back(std::move(t));
   }
   return workload::TimedScenario{topology_from_json(j.at("topology")),
                                  std::move(tasks)};
-}
-
-Json online_result_to_json(const assign::OnlineResult& result) {
-  JsonObject o;
-  o["total_energy_j"] = result.total_energy_j;
-  o["mean_response_s"] = result.mean_response_s;
-  o["makespan_s"] = result.makespan_s;
-  o["cancelled"] = result.cancelled;
-  o["epochs"] = result.epochs;
-  JsonArray outcomes;
-  for (const assign::OnlineTaskOutcome& t : result.outcomes) {
-    JsonObject tj;
-    tj["decision"] = Json(assign::to_string(t.decision));
-    if (t.decision != assign::Decision::kCancelled) {
-      tj["start_s"] = t.start_s;
-      tj["finish_s"] = t.finish_s;
-    }
-    outcomes.emplace_back(std::move(tj));
-  }
-  o["outcomes"] = Json(std::move(outcomes));
-  return Json(std::move(o));
 }
 
 Json assignment_to_json(const assign::Assignment& assignment) {

@@ -37,8 +37,6 @@ workload::ScenarioConfig config_from_json(const Json& j);
 Json timed_scenario_to_json(const workload::TimedScenario& scenario);
 workload::TimedScenario timed_scenario_from_json(const Json& j);
 
-Json online_result_to_json(const assign::OnlineResult& result);
-
 // --- plans and metrics ----------------------------------------------------
 Json assignment_to_json(const assign::Assignment& assignment);
 assign::Assignment assignment_from_json(const Json& j);

@@ -17,6 +17,15 @@ double Json::as_number() const {
   return std::get<double>(value_);
 }
 
+std::size_t Json::as_index() const {
+  const double v = as_number();
+  if (!(v >= 0.0 && v <= 9007199254740992.0) || std::floor(v) != v) {
+    throw JsonError("not an index (a non-negative integer <= 2^53): " +
+                    std::to_string(v));
+  }
+  return static_cast<std::size_t>(v);
+}
+
 const std::string& Json::as_string() const {
   if (!is_string()) throw JsonError("not a string");
   return std::get<std::string>(value_);
@@ -56,6 +65,12 @@ bool Json::contains(const std::string& key) const {
 double Json::number_or(const std::string& key, double fallback) const {
   if (!contains(key)) return fallback;
   return at(key).as_number();
+}
+
+std::size_t Json::index_or(const std::string& key,
+                           std::size_t fallback) const {
+  if (!contains(key)) return fallback;
+  return at(key).as_index();
 }
 
 namespace {

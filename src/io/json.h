@@ -53,6 +53,10 @@ class Json {
   // Typed access; throws JsonError on kind mismatch.
   bool as_bool() const;
   double as_number() const;
+  // A number used as an index or count: throws JsonError unless it is a
+  // non-negative integer no larger than 2^53 (beyond that a double no
+  // longer holds every integer, and no index here comes close).
+  std::size_t as_index() const;
   const std::string& as_string() const;
   const JsonArray& as_array() const;
   const JsonObject& as_object() const;
@@ -64,6 +68,7 @@ class Json {
   bool contains(const std::string& key) const;
   // Field with a default when the key is absent.
   double number_or(const std::string& key, double fallback) const;
+  std::size_t index_or(const std::string& key, std::size_t fallback) const;
 
   // Compact serialization (no whitespace). `indent` > 0 pretty-prints.
   std::string dump(int indent = 0) const;

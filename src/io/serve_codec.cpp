@@ -18,6 +18,14 @@ std::string kind_name(serve::EventKind k) {
       return "leave";
     case serve::EventKind::kDeviceMigrate:
       return "migrate";
+    case serve::EventKind::kStationFail:
+      return "station-fail";
+    case serve::EventKind::kStationRecover:
+      return "station-recover";
+    case serve::EventKind::kLinkDegrade:
+      return "link-degrade";
+    case serve::EventKind::kLinkRestore:
+      return "link-restore";
   }
   throw JsonError("unknown serve event kind");
 }
@@ -27,6 +35,10 @@ serve::EventKind kind_from_name(const std::string& name) {
   if (name == "join") return serve::EventKind::kDeviceJoin;
   if (name == "leave") return serve::EventKind::kDeviceLeave;
   if (name == "migrate") return serve::EventKind::kDeviceMigrate;
+  if (name == "station-fail") return serve::EventKind::kStationFail;
+  if (name == "station-recover") return serve::EventKind::kStationRecover;
+  if (name == "link-degrade") return serve::EventKind::kLinkDegrade;
+  if (name == "link-restore") return serve::EventKind::kLinkRestore;
   throw JsonError("unknown serve event kind: " + name);
 }
 
@@ -41,12 +53,21 @@ Json serve_event_to_json(const serve::Event& event) {
       o["task"] = task_to_json(event.task);
       break;
     case serve::EventKind::kDeviceLeave:
+    case serve::EventKind::kLinkRestore:
       o["device"] = event.device;
       break;
     case serve::EventKind::kDeviceJoin:
     case serve::EventKind::kDeviceMigrate:
       o["device"] = event.device;
       o["station"] = event.station;
+      break;
+    case serve::EventKind::kStationFail:
+    case serve::EventKind::kStationRecover:
+      o["station"] = event.station;
+      break;
+    case serve::EventKind::kLinkDegrade:
+      o["device"] = event.device;
+      o["factor"] = event.factor;
       break;
   }
   return Json(std::move(o));
@@ -58,16 +79,23 @@ serve::Event serve_event_from_json(const Json& j) {
     case serve::EventKind::kTaskArrival:
       return serve::Event::arrival(time_s, task_from_json(j.at("task")));
     case serve::EventKind::kDeviceJoin:
-      return serve::Event::join(
-          time_s, static_cast<std::size_t>(j.at("device").as_number()),
-          static_cast<std::size_t>(j.at("station").as_number()));
+      return serve::Event::join(time_s, j.at("device").as_index(),
+                                j.at("station").as_index());
     case serve::EventKind::kDeviceLeave:
-      return serve::Event::leave(
-          time_s, static_cast<std::size_t>(j.at("device").as_number()));
+      return serve::Event::leave(time_s, j.at("device").as_index());
     case serve::EventKind::kDeviceMigrate:
-      return serve::Event::migrate(
-          time_s, static_cast<std::size_t>(j.at("device").as_number()),
-          static_cast<std::size_t>(j.at("station").as_number()));
+      return serve::Event::migrate(time_s, j.at("device").as_index(),
+                                   j.at("station").as_index());
+    case serve::EventKind::kStationFail:
+      return serve::Event::station_fail(time_s, j.at("station").as_index());
+    case serve::EventKind::kStationRecover:
+      return serve::Event::station_recover(time_s,
+                                           j.at("station").as_index());
+    case serve::EventKind::kLinkDegrade:
+      return serve::Event::link_degrade(time_s, j.at("device").as_index(),
+                                        j.at("factor").as_number());
+    case serve::EventKind::kLinkRestore:
+      return serve::Event::link_restore(time_s, j.at("device").as_index());
   }
   throw JsonError("unknown serve event kind");
 }

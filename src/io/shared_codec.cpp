@@ -15,7 +15,7 @@ Json item_set_to_json(const dta::ItemSet& items) {
 dta::ItemSet item_set_from_json(const Json& j) {
   dta::ItemSet out;
   for (const Json& v : j.as_array()) {
-    out.push_back(static_cast<std::size_t>(v.as_number()));
+    out.push_back(v.as_index());
   }
   return out;
 }
@@ -41,8 +41,8 @@ Json divisible_task_to_json(const dta::DivisibleTask& t) {
 
 dta::DivisibleTask divisible_task_from_json(const Json& j) {
   dta::DivisibleTask t;
-  t.id.user = static_cast<std::size_t>(j.at("user").as_number());
-  t.id.index = static_cast<std::size_t>(j.at("index").as_number());
+  t.id.user = j.at("user").as_index();
+  t.id.index = j.at("index").as_index();
   t.items = item_set_from_json(j.at("items"));
   t.op_bytes = j.number_or("op_bytes", t.op_bytes);
   t.cycles_per_byte = j.number_or("cycles_per_byte", t.cycles_per_byte);

@@ -6,13 +6,16 @@
 #include <future>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "assign/hta_instance.h"
 #include "common/error.h"
+#include "dta/pipeline.h"
 #include "exec/thread_pool.h"
+#include "mec/cost_model.h"
 #include "obs/flight_recorder.h"
 #include "obs/registry.h"
 #include "obs/tracer.h"
@@ -41,17 +44,100 @@ struct ShardOutcome {
   std::vector<double> energy_j;
 };
 
+// Cost of running `task` (universe ids) on its issuer inside the issuer's
+// cell, radios priced at their current link factors. Local execution
+// reads only the issuer, the external owner and the cell they share, so a
+// two-device topology prices it exactly.
+mec::CostEntry local_cost_now(const mec::Topology& universe,
+                              const Population& pop, mec::Task task) {
+  std::vector<std::size_t> roster = {task.id.user};
+  if (task.external_bytes > 0.0 && task.external_owner != task.id.user) {
+    roster.push_back(task.external_owner);
+  }
+  std::vector<mec::Device> devices;
+  for (std::size_t local = 0; local < roster.size(); ++local) {
+    mec::Device d = universe.device(roster[local]);
+    d.id = local;
+    d.base_station = 0;
+    d.radio.upload_bps *= pop.link_factor(roster[local]);
+    d.radio.download_bps *= pop.link_factor(roster[local]);
+    devices.push_back(d);
+  }
+  mec::BaseStation cell = universe.base_station(pop.station(task.id.user));
+  cell.id = 0;
+  const mec::Topology pair(std::move(devices), {cell}, universe.params());
+  task.id.user = 0;
+  task.external_owner = roster.size() - 1;
+  return mec::CostModel(pair).evaluate(task, mec::Placement::kLocal);
+}
+
+// DTA rescue of an owner-down task: re-divides its items across the
+// owners up now. Empty when an item has no live copy or the re-division
+// cancels a partial or misses the residual deadline.
+std::optional<dta::DtaResult> rescue(const mec::Topology& universe,
+                                     const Population& pop,
+                                     const SharedDataView& shared,
+                                     const dta::ItemSet& items,
+                                     const mec::Task& task,
+                                     double residual_s) {
+  if (items.empty()) return std::nullopt;
+  std::vector<dta::ItemSet> alive(shared.ownership.size());
+  dta::ItemSet covered;
+  for (std::size_t dev = 0; dev < alive.size(); ++dev) {
+    if (!pop.up(dev)) continue;
+    alive[dev] = shared.ownership[dev];
+    covered = dta::set_union(covered, alive[dev]);
+  }
+  if (!dta::set_minus(items, covered).empty()) return std::nullopt;
+
+  dta::DivisibleTask div;
+  div.id = task.id;
+  div.items = items;
+  div.cycles_per_byte = task.cycles_per_byte;
+  div.result_kind = task.result_kind;
+  div.result_ratio = task.result_ratio;
+  div.result_const_bytes = task.result_const_bytes;
+  div.resource = task.resource;
+  div.deadline_s = residual_s;
+  const dta::SharedDataScenario scenario{
+      universe, dta::DataUniverse(shared.item_bytes), std::move(alive),
+      {div}};
+  dta::DtaOptions opts;
+  opts.strategy = dta::DtaStrategy::kWorkload;
+  opts.scheduler = dta::PartialScheduler::kLocalGreedy;
+  dta::DtaResult r = dta::run_dta(scenario, opts);
+  if (r.partials_cancelled > 0 || r.partials_deadline_violations > 0 ||
+      r.processing_time_s > residual_s) {
+    return std::nullopt;
+  }
+  return r;
+}
+
 }  // namespace
 
 ServeDaemon::ServeDaemon(ServeOptions options) : options_(std::move(options)) {}
 
 ServeResult ServeDaemon::run(const mec::Topology& universe, const Trace& trace,
-                             DecisionLog* log,
-                             const CancellationToken& stop) const {
+                             DecisionLog* log, const CancellationToken& stop,
+                             const SharedDataView* shared,
+                             std::vector<TaskOutcome>* outcomes) const {
   MECSCHED_REQUIRE(std::isfinite(options_.epoch_budget_ms) &&
                        options_.epoch_budget_ms >= 0.0,
                    "epoch_budget_ms must be finite and non-negative");
   trace.validate_against(universe.num_devices(), universe.num_base_stations());
+  if (shared != nullptr) {
+    MECSCHED_REQUIRE(shared->task_items.size() == trace.arrivals(),
+                     "SharedDataView::task_items must have one set per "
+                     "arrival (" +
+                         std::to_string(shared->task_items.size()) + " vs " +
+                         std::to_string(trace.arrivals()) + ")");
+    MECSCHED_REQUIRE(shared->ownership.size() == universe.num_devices(),
+                     "SharedDataView::ownership must have one set per "
+                     "device (" +
+                         std::to_string(shared->ownership.size()) + " vs " +
+                         std::to_string(universe.num_devices()) + ")");
+  }
+  if (outcomes != nullptr) outcomes->assign(trace.arrivals(), TaskOutcome{});
 
   ServeResult result;
   Population pop(universe);
@@ -66,10 +152,17 @@ ServeResult ServeDaemon::run(const mec::Topology& universe, const Trace& trace,
   // barriers, so a hint never races its producer.
   std::vector<std::shared_ptr<const assign::Assignment>> warm(
       sharder.num_shards());
-  std::vector<PendingTask> pending;  // id = index, append-only
+  // One per arrival, id = arrival ordinal; rejected ones are never admitted.
+  std::vector<PendingTask> pending;
 
   obs::Registry& reg = obs::Registry::global();
   obs::FlightRecorder& flight = obs::FlightRecorder::global();
+  // Per-decision handles, resolved once: each lookup takes the registry
+  // mutex, and the handles survive Registry::reset().
+  obs::Histogram& admit_ms = reg.histogram("serve.admit_to_decision_ms");
+  obs::WindowedHistogram& admit_window =
+      reg.window("serve.admit_to_decision_ms");
+  obs::RateWindow& decision_rate = reg.rate("serve.decisions");
   const obs::ScopedTimer run_span("serve.run", "serve");
 
   const double budget_s = options_.epoch_budget_ms * 1e-3;
@@ -78,23 +171,52 @@ ServeResult ServeDaemon::run(const mec::Topology& universe, const Trace& trace,
   double now = 0.0;
   std::size_t epoch = 0;
 
-  auto append = [&](double t, const mec::TaskId& id, DecisionKind kind,
-                    std::size_t attempt) {
+  // Logs a disposition without a placement; a terminal one (anything but
+  // a retry) also becomes the task's outcome.
+  auto settle = [&](std::size_t id, double t, DecisionKind kind) {
+    const PendingTask& p = pending[id];
     if (log != nullptr) {
-      log->append({epoch, t, id, kind, 0, Decision::kCancelled, attempt,
-                   0.0, 0.0});
+      log->append({epoch, t, p.task.id, kind, 0, Decision::kCancelled,
+                   p.attempts, 0.0, 0.0});
+    }
+    if (outcomes != nullptr && kind != DecisionKind::kRetry) {
+      (*outcomes)[id] = {kind, Decision::kCancelled, 0.0, 0.0, p.attempts};
     }
   };
 
   // Re-admit with backoff, or settle as exhausted.
   auto retry_or_exhaust = [&](std::size_t id, double t) {
-    const PendingTask& p = pending[id];
-    if (waiting.retry(id, p.attempts, epoch)) {
-      append(t, p.task.id, DecisionKind::kRetry, p.attempts);
+    if (waiting.retry(id, pending[id].attempts, epoch)) {
+      settle(id, t, DecisionKind::kRetry);
     } else {
       ++result.exhausted;
-      append(t, p.task.id, DecisionKind::kExhausted, p.attempts);
+      settle(id, t, DecisionKind::kExhausted);
     }
+  };
+
+  // Starts a task at `now`: it holds its capacity until the analytic
+  // finish time.
+  auto place = [&](std::size_t id, std::size_t shard, Decision d,
+                   double latency_s, double energy_j) {
+    const PendingTask& p = pending[id];
+    const double finish = now + latency_s;
+    const double wait_s = now - p.arrival_s;
+    result.total_energy_j += energy_j;
+    result.makespan_s = std::max(result.makespan_s, finish);
+    ++result.decisions;
+    recon.start({id, finish, d, p.task.id.user, pop.station(p.task.id.user),
+                 p.task.resource, p.task.external_bytes > 0.0,
+                 p.task.external_owner});
+    if (log != nullptr) {
+      log->append({epoch, now, p.task.id, DecisionKind::kDecide, shard, d,
+                   p.attempts, wait_s, energy_j});
+    }
+    if (outcomes != nullptr) {
+      (*outcomes)[id] = {DecisionKind::kDecide, d, now, finish, p.attempts};
+    }
+    admit_ms.observe(wait_s * 1e3);
+    admit_window.observe(wait_s * 1e3);
+    decision_rate.record();
   };
 
   for (;; ++epoch) {
@@ -106,13 +228,11 @@ ServeResult ServeDaemon::run(const mec::Topology& universe, const Trace& trace,
       for (const ReadmissionEntry& w : waiting.take_ready(
                std::numeric_limits<std::size_t>::max())) {
         ++result.abandoned;
-        append(now, pending[w.id].task.id, DecisionKind::kAbandoned,
-               pending[w.id].attempts);
+        settle(w.id, now, DecisionKind::kAbandoned);
       }
       for (const RunningTask& r : recon.running()) {
         ++result.abandoned;
-        append(now, pending[r.id].task.id, DecisionKind::kAbandoned,
-               pending[r.id].attempts);
+        settle(r.id, now, DecisionKind::kAbandoned);
       }
       break;
     }
@@ -136,19 +256,18 @@ ServeResult ServeDaemon::run(const mec::Topology& universe, const Trace& trace,
       ++result.events;
       if (e.kind == EventKind::kTaskArrival) {
         ++result.arrivals;
+        const std::size_t id = pending.size();
+        pending.push_back(PendingTask{id, e.task, e.time_s, 0});
         if (admission.offer(waiting.waiting())) {
-          const std::size_t id = pending.size();
-          pending.push_back(PendingTask{id, e.task, e.time_s, 0});
           waiting.admit(id, epoch);
         } else {
-          append(e.time_s, e.task.id, DecisionKind::kReject, 0);
+          settle(id, e.time_s, DecisionKind::kReject);
         }
       } else {
         const Interruptions hit = recon.observe(e);
         for (const std::size_t id : hit.lost_issuer) {
           ++result.lost_issuer;
-          append(e.time_s, pending[id].task.id, DecisionKind::kLostIssuer,
-                 pending[id].attempts);
+          settle(id, e.time_s, DecisionKind::kLostIssuer);
         }
         for (const std::size_t id : hit.orphaned) {
           ++result.orphaned;
@@ -168,28 +287,79 @@ ServeResult ServeDaemon::run(const mec::Topology& universe, const Trace& trace,
     reg.gauge("serve.queue.depth")
         .set(static_cast<double>(waiting.waiting()));
     if (ready.empty()) continue;
+    ++result.decide_epochs;
 
     std::vector<const PendingTask*> batch;
     std::vector<double> residuals;
     for (const ReadmissionEntry& wte : ready) {
       PendingTask& p = pending[wte.id];
       p.attempts = wte.attempts + 1;
+      const std::size_t issuer = p.task.id.user;
       // Residual slack, net of the time this epoch's decision is allowed
       // to burn (the configured budget, for determinism).
       const double residual =
           p.task.deadline_s - (now - p.arrival_s) - budget_s;
       if (residual <= 0.0) {
         ++result.expired;
-        append(now, p.task.id, DecisionKind::kExpire, p.attempts);
+        settle(wte.id, now, DecisionKind::kExpire);
         continue;
       }
-      if (!pop.up(p.task.id.user)) {
+      if (!pop.up(issuer)) {
         ++result.lost_issuer;
-        append(now, p.task.id, DecisionKind::kLostIssuer, p.attempts);
+        settle(wte.id, now, DecisionKind::kLostIssuer);
         continue;
       }
+      const std::size_t cell = pop.station(issuer);
       if (p.task.external_bytes > 0.0 && !pop.up(p.task.external_owner)) {
+        const std::optional<dta::DtaResult> div =
+            shared == nullptr
+                ? std::nullopt
+                : rescue(universe, pop, *shared, shared->task_items[wte.id],
+                         p.task, residual);
+        if (div) {
+          const double finish = now + div->processing_time_s;
+          ++result.completed;
+          ++result.rescued;
+          result.total_energy_j += div->total_energy_j;
+          result.makespan_s = std::max(result.makespan_s, finish);
+          if (log != nullptr) {
+            log->append({epoch, now, p.task.id, DecisionKind::kRescue,
+                         sharder.shard_of_station(cell), Decision::kLocal,
+                         p.attempts, now - p.arrival_s, div->total_energy_j});
+          }
+          if (outcomes != nullptr) {
+            (*outcomes)[wte.id] = {DecisionKind::kRescue, Decision::kLocal,
+                                   now, finish, p.attempts};
+          }
+          continue;
+        }
         // The owner may rejoin; park the task.
+        retry_or_exhaust(wte.id, now);
+        continue;
+      }
+      if (!pop.station_up(cell)) {
+        // The cell is dark: only local execution is possible, and only
+        // when the external data (if any) is fetched inside the cell.
+        // Otherwise wait for the cell.
+        const bool fetch_routable =
+            p.task.external_bytes <= 0.0 ||
+            pop.station(p.task.external_owner) == cell;
+        double used = 0.0;
+        for (const RunningTask& r : recon.running()) {
+          if (r.where == Decision::kLocal && r.issuer == issuer) {
+            used += r.resource;
+          }
+        }
+        const bool fits = used + p.task.resource <=
+                          universe.device(issuer).max_resource;
+        if (fetch_routable && fits) {
+          const mec::CostEntry local = local_cost_now(universe, pop, p.task);
+          if (local.latency_s() <= residual) {
+            place(wte.id, sharder.shard_of_station(cell), Decision::kLocal,
+                  local.latency_s(), local.energy_j);
+            continue;
+          }
+        }
         retry_or_exhaust(wte.id, now);
         continue;
       }
@@ -197,7 +367,6 @@ ServeResult ServeDaemon::run(const mec::Topology& universe, const Trace& trace,
       residuals.push_back(residual);
     }
     if (batch.empty()) continue;
-    ++result.decide_epochs;
 
     // ---- 3. Shard against the residual system.
     std::vector<double> dev_res(nd);
@@ -270,10 +439,10 @@ ServeResult ServeDaemon::run(const mec::Topology& universe, const Trace& trace,
       futures.push_back(
           pool.submit([&solve_shard, &sp] { return solve_shard(sp); }));
     }
-    std::vector<ShardOutcome> outcomes;
-    outcomes.reserve(shards.size());
+    std::vector<ShardOutcome> solved;
+    solved.reserve(shards.size());
     for (std::future<ShardOutcome>& f : futures) {
-      outcomes.push_back(f.get());  // shard order, not finish order
+      solved.push_back(f.get());  // shard order, not finish order
     }
     const double solve_ms = wall_ms(solve_t0);
     reg.histogram("serve.epoch.solve_ms").observe(solve_ms);
@@ -286,32 +455,17 @@ ServeResult ServeDaemon::run(const mec::Topology& universe, const Trace& trace,
     // worker schedule.
     for (std::size_t i = 0; i < shards.size(); ++i) {
       const ShardProblem& sp = shards[i];
-      const ShardOutcome& oc = outcomes[i];
+      const ShardOutcome& oc = solved[i];
       ++result.shard_solves;
       ++result.rungs[oc.rung];
       for (std::size_t t = 0; t < sp.tasks.size(); ++t) {
         const std::size_t id = sp.task_ids[t];
-        const PendingTask& p = pending[id];
         const Decision d = oc.plan.decisions[t];
         if (d == Decision::kCancelled) {
           retry_or_exhaust(id, now);
           continue;
         }
-        const double finish = now + oc.latency_s[t];
-        const double wait_s = now - p.arrival_s;
-        result.total_energy_j += oc.energy_j[t];
-        result.makespan_s = std::max(result.makespan_s, finish);
-        ++result.decisions;
-        recon.start({id, finish, d, p.task.id.user,
-                     pop.station(p.task.id.user), p.task.resource,
-                     p.task.external_bytes > 0.0, p.task.external_owner});
-        if (log != nullptr) {
-          log->append({epoch, now, p.task.id, DecisionKind::kDecide,
-                       sp.shard, d, p.attempts, wait_s, oc.energy_j[t]});
-        }
-        reg.histogram("serve.admit_to_decision_ms").observe(wait_s * 1e3);
-        reg.window("serve.admit_to_decision_ms").observe(wait_s * 1e3);
-        reg.rate("serve.decisions").record();
+        place(id, sp.shard, d, oc.latency_s[t], oc.energy_j[t]);
       }
     }
   }
@@ -328,6 +482,7 @@ ServeResult ServeDaemon::run(const mec::Topology& universe, const Trace& trace,
   reg.counter("serve.epochs").add(result.epochs);
   reg.counter("serve.decisions").add(result.decisions);
   reg.counter("serve.completed").add(result.completed);
+  reg.counter("serve.rescued").add(result.rescued);
   reg.counter("serve.expired").add(result.expired);
   reg.counter("serve.lost_issuer").add(result.lost_issuer);
   reg.counter("serve.exhausted").add(result.exhausted);

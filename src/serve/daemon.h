@@ -3,15 +3,18 @@
 // Epoch lifecycle (docs/serve.md):
 //
 //   1. ingest  — close the next batching window (IngestCursor): arrivals
-//      pass admission control into the waiting room (ReadmissionQueue,
-//      shared with the resilient controller), churn events update the
-//      Population and are reconciled against in-flight work (issuer gone
-//      -> lost; owner gone / issuer migrated off-cell -> orphaned and
-//      re-admitted with backoff);
+//      pass admission control into the waiting room (ReadmissionQueue),
+//      churn and fault events update the Population and are reconciled
+//      against in-flight work (issuer gone -> lost; owner gone / issuer
+//      migrated off-cell / serving cell failed -> orphaned and re-admitted
+//      with backoff);
 //   2. triage  — pull the epoch batch in admission order; expire tasks
 //      whose residual slack (net of the configured epoch budget) is gone,
-//      drop tasks whose issuer left, park tasks whose external owner is
-//      currently away;
+//      drop tasks whose issuer left; a task whose external owner is away
+//      is rescued by DTA re-division across the surviving owners when the
+//      caller passed a SharedDataView, else parked; a task whose cell is
+//      dark runs locally when that fits and meets its slack, else is
+//      parked;
 //   3. shard   — cut the survivors into per-neighborhood HtaInstances
 //      against the residual capacities (Sharder);
 //   4. solve   — shards run in parallel on one long-lived thread pool,
@@ -35,11 +38,13 @@
 #pragma once
 
 #include <cstddef>
+#include <vector>
 
 #include "assign/lp_hta.h"
 #include "common/deadline.h"
 #include "control/fallback.h"
 #include "control/readmission.h"
+#include "dta/data_model.h"
 #include "mec/topology.h"
 #include "serve/decision_log.h"
 #include "serve/event.h"
@@ -69,7 +74,8 @@ struct ServeResult {
   std::size_t admitted = 0;
   std::size_t rejected = 0;      // refused at admission
   std::size_t decisions = 0;     // tasks placed
-  std::size_t completed = 0;
+  std::size_t completed = 0;     // rescued included
+  std::size_t rescued = 0;       // completed by DTA re-division
   std::size_t expired = 0;       // slack gone at triage
   std::size_t lost_issuer = 0;   // issuer left (waiting or mid-run)
   std::size_t exhausted = 0;     // retry budget consumed
@@ -77,7 +83,7 @@ struct ServeResult {
   std::size_t retries = 0;       // successful re-admissions
   std::size_t abandoned = 0;     // open at an early stop
   std::size_t epochs = 0;        // loop heartbeats (drain included)
-  std::size_t decide_epochs = 0; // epochs that solved at least one shard
+  std::size_t decide_epochs = 0; // epochs with a non-empty batch to triage
   std::size_t shard_solves = 0;  // shard problems solved
   control::RungHistogram rungs;  // which rung served each shard solve
   double total_energy_j = 0.0;
@@ -86,15 +92,41 @@ struct ServeResult {
   bool stopped_early = false;    // stop token fired
 };
 
+// Optional data-shared view of a trace's tasks: per-item sizes, per-device
+// ownership (replicas included) and each arrival's item set (empty = the
+// task cannot be re-divided). Rescue re-divides with DTA-Workload and the
+// greedy partial scheduler, which never throws; the partial executors are
+// not charged against the epoch capacity ledger.
+struct SharedDataView {
+  std::vector<double> item_bytes;
+  std::vector<dta::ItemSet> ownership;   // one per universe device
+  std::vector<dta::ItemSet> task_items;  // one per trace arrival, in order
+};
+
+// One arrival's last disposition: its final decision-log record.
+struct TaskOutcome {
+  DecisionKind fate = DecisionKind::kAbandoned;
+  // kDecide: the placement; kRescue: kLocal (the partials run on the
+  // surviving owners); otherwise kCancelled.
+  assign::Decision decision = assign::Decision::kCancelled;
+  double start_s = 0.0;   // epoch boundary of the decision (placed only)
+  double finish_s = 0.0;  // analytic completion (placed only)
+  std::size_t attempts = 0;
+};
+
 class ServeDaemon {
  public:
   explicit ServeDaemon(ServeOptions options = {});
 
-  // Runs the trace to completion (or to `stop`). `log` may be nullptr.
-  // The trace is validated against the universe topology.
+  // Runs the trace to completion (or to `stop`). `log`, `shared` and
+  // `outcomes` may be nullptr; `outcomes` is resized to one entry per
+  // trace arrival, in trace order. The trace is validated against the
+  // universe topology, and `shared` against the trace and the universe.
   ServeResult run(const mec::Topology& universe, const Trace& trace,
                   DecisionLog* log = nullptr,
-                  const CancellationToken& stop = {}) const;
+                  const CancellationToken& stop = {},
+                  const SharedDataView* shared = nullptr,
+                  std::vector<TaskOutcome>* outcomes = nullptr) const;
 
  private:
   ServeOptions options_;

@@ -1,6 +1,6 @@
 // The decision log: one line per task disposition — terminal (decide,
-// reject, expire, lost-issuer, exhausted, abandoned) or re-admission
-// (retry) — in the exact order the daemon settled it.
+// rescue, reject, expire, lost-issuer, exhausted, abandoned) or
+// re-admission (retry) — in the exact order the daemon settled it.
 //
 // This is the daemon's externally-visible output and its determinism
 // witness: CI replays the same trace at --jobs 1 and --jobs 4 and diffs
@@ -30,6 +30,8 @@ enum class DecisionKind {
   kRetry,         // interrupted or unplaceable; re-admitted with backoff
   kExhausted,     // max_attempts consumed without completing
   kAbandoned,     // daemon stopped (signal) with the task still open
+  kRescue,        // owner down; completed by DTA re-division across the
+                  // surviving owners (energy is the re-division's)
 };
 
 std::string to_string(DecisionKind k);

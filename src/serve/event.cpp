@@ -17,6 +17,14 @@ std::string to_string(EventKind k) {
       return "device-leave";
     case EventKind::kDeviceMigrate:
       return "device-migrate";
+    case EventKind::kStationFail:
+      return "station-fail";
+    case EventKind::kStationRecover:
+      return "station-recover";
+    case EventKind::kLinkDegrade:
+      return "link-degrade";
+    case EventKind::kLinkRestore:
+      return "link-restore";
   }
   return "unknown";
 }
@@ -56,6 +64,35 @@ Event Event::migrate(double time_s, std::size_t device, std::size_t station) {
   return e;
 }
 
+Event Event::station_fail(double time_s, std::size_t station) {
+  Event e;
+  e.time_s = time_s;
+  e.kind = EventKind::kStationFail;
+  e.station = station;
+  return e;
+}
+
+Event Event::station_recover(double time_s, std::size_t station) {
+  Event e = station_fail(time_s, station);
+  e.kind = EventKind::kStationRecover;
+  return e;
+}
+
+Event Event::link_degrade(double time_s, std::size_t device, double factor) {
+  Event e;
+  e.time_s = time_s;
+  e.kind = EventKind::kLinkDegrade;
+  e.device = device;
+  e.factor = factor;
+  return e;
+}
+
+Event Event::link_restore(double time_s, std::size_t device) {
+  Event e = link_degrade(time_s, device, 1.0);
+  e.kind = EventKind::kLinkRestore;
+  return e;
+}
+
 Trace::Trace(std::vector<Event> events) : events_(std::move(events)) {
   std::stable_sort(events_.begin(), events_.end(),
                    [](const Event& a, const Event& b) {
@@ -77,16 +114,24 @@ void Trace::validate_against(std::size_t num_devices,
     MECSCHED_REQUIRE(std::isfinite(e.time_s) && e.time_s >= 0.0,
                      "event " + std::to_string(i) +
                          ": time must be finite and non-negative");
-    MECSCHED_REQUIRE(e.device < num_devices,
+    const bool station_event = e.kind == EventKind::kStationFail ||
+                               e.kind == EventKind::kStationRecover;
+    MECSCHED_REQUIRE(station_event || e.device < num_devices,
                      "event " + std::to_string(i) + ": device " +
                          std::to_string(e.device) + " out of range (" +
                          std::to_string(num_devices) + " devices)");
-    if (e.kind == EventKind::kDeviceJoin ||
+    if (station_event || e.kind == EventKind::kDeviceJoin ||
         e.kind == EventKind::kDeviceMigrate) {
       MECSCHED_REQUIRE(e.station < num_stations,
                        "event " + std::to_string(i) + ": station " +
                            std::to_string(e.station) + " out of range (" +
                            std::to_string(num_stations) + " stations)");
+    }
+    if (e.kind == EventKind::kLinkDegrade) {
+      MECSCHED_REQUIRE(std::isfinite(e.factor) && e.factor > 0.0 &&
+                           e.factor <= 1.0,
+                       "event " + std::to_string(i) + ": link factor " +
+                           std::to_string(e.factor) + " outside (0, 1]");
     }
     if (e.kind == EventKind::kTaskArrival) {
       MECSCHED_REQUIRE(e.task.id.user == e.device,

@@ -4,38 +4,59 @@
 
 namespace mecsched::serve {
 
-Interruptions Reconciler::observe(const Event& e) {
+namespace {
+
+enum class Hit { kNone, kLost, kOrphaned };
+
+// Removes the tasks `hit` interrupts from `running`; work finished by
+// `time_s` is untouched. One instantiation per event kind keeps the kind
+// dispatch out of the per-task loop, which runs once per churn event.
+template <typename HitFn>
+Interruptions sweep(std::vector<RunningTask>& running, double time_s,
+                    HitFn hit) {
   Interruptions out;
-  if (e.kind != EventKind::kDeviceLeave &&
-      e.kind != EventKind::kDeviceMigrate) {
-    return out;
-  }
   std::vector<RunningTask> keep;
-  keep.reserve(running_.size());
-  for (const RunningTask& r : running_) {
-    if (r.finish_s <= e.time_s) {  // already done when the event struck
+  keep.reserve(running.size());
+  for (const RunningTask& r : running) {
+    const Hit h = r.finish_s <= time_s ? Hit::kNone : hit(r);
+    if (h == Hit::kLost) {
+      out.lost_issuer.push_back(r.id);
+    } else if (h == Hit::kOrphaned) {
+      out.orphaned.push_back(r.id);
+    } else {
       keep.push_back(r);
-      continue;
     }
-    if (e.kind == EventKind::kDeviceLeave) {
-      if (r.issuer == e.device) {
-        out.lost_issuer.push_back(r.id);
-        continue;
-      }
-      if (r.has_external && r.owner == e.device) {
-        out.orphaned.push_back(r.id);
-        continue;
-      }
-    } else {  // kDeviceMigrate
-      if (r.issuer == e.device && r.where != assign::Decision::kLocal) {
-        out.orphaned.push_back(r.id);
-        continue;
-      }
-    }
-    keep.push_back(r);
   }
-  running_.swap(keep);
+  running.swap(keep);
   return out;
+}
+
+}  // namespace
+
+Interruptions Reconciler::observe(const Event& e) {
+  const auto offloaded = [](const RunningTask& r) {
+    return r.where != assign::Decision::kLocal;
+  };
+  switch (e.kind) {
+    case EventKind::kDeviceLeave:
+      return sweep(running_, e.time_s, [&e](const RunningTask& r) {
+        if (r.issuer == e.device) return Hit::kLost;
+        return r.has_external && r.owner == e.device ? Hit::kOrphaned
+                                                     : Hit::kNone;
+      });
+    case EventKind::kDeviceMigrate:
+      return sweep(running_, e.time_s, [&](const RunningTask& r) {
+        return r.issuer == e.device && offloaded(r) ? Hit::kOrphaned
+                                                    : Hit::kNone;
+      });
+    case EventKind::kStationFail:
+      return sweep(running_, e.time_s, [&](const RunningTask& r) {
+        return r.station == e.station && offloaded(r) ? Hit::kOrphaned
+                                                      : Hit::kNone;
+      });
+    default:
+      return {};
+  }
 }
 
 std::vector<std::size_t> Reconciler::collect_completions(double now) {

@@ -12,11 +12,15 @@
 //                             path through the old station is gone), a
 //                             local run travels with the device and
 //                             survives;
-//   * owner migrates       -> survives (the fetch is pinned at start).
+//   * owner migrates       -> survives (the fetch is pinned at start);
+//   * station fails        -> edge/cloud work of issuers served through
+//                             that cell is orphaned (its CPU, or its
+//                             backhaul to the cloud, is gone); local runs
+//                             survive.
 //
-// Interruption is at whole-run granularity, matching the resilient
-// controller's analytic-execution model: a task that finished before the
-// event's timestamp is unaffected even if collection happens later.
+// Interruption is at whole-run granularity (execution is analytic, per
+// Sec. II's cost model): a task that finished before the event's
+// timestamp is unaffected even if collection happens later.
 #pragma once
 
 #include <cstddef>
@@ -49,8 +53,9 @@ class Reconciler {
  public:
   void start(const RunningTask& t) { running_.push_back(t); }
 
-  // Classifies one churn event against the running set, removing the
-  // interrupted tasks. Arrival and join events never interrupt.
+  // Classifies one churn or fault event against the running set, removing
+  // the interrupted tasks. Arrival, join, recovery and link events never
+  // interrupt.
   Interruptions observe(const Event& e);
 
   // Removes and returns (in start order) the ids of tasks with

@@ -117,7 +117,8 @@ std::vector<ShardProblem> Sharder::build(
       bs.id = local;
       // Halo cells carry zero capacity: their ledger belongs to the
       // owning shard.
-      bs.max_resource = local < core_stations
+      bs.max_resource = local < core_stations &&
+                                population.station_up(stations[local])
                             ? std::max(0.0, station_residual[stations[local]])
                             : 0.0;
       shard_stations.push_back(bs);
@@ -139,6 +140,8 @@ std::vector<ShardProblem> Sharder::build(
       d.max_resource = local < shard_devices[s].size()
                            ? std::max(0.0, device_residual[g])
                            : 0.0;
+      d.radio.upload_bps *= population.link_factor(g);
+      d.radio.download_bps *= population.link_factor(g);
       shard_dev.push_back(d);
     }
 

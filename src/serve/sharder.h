@@ -61,7 +61,8 @@ class Sharder {
   // Cuts one epoch: routes each batch task to its issuer's shard, carves
   // per-shard topologies out of the up population with the given residual
   // capacities (indexed by universe ids; a down device's residual is
-  // ignored), and remaps ids. residual_deadline_s aligns with batch and
+  // ignored, a down station's is zero), prices every radio at its current
+  // link factor, and remaps ids. residual_deadline_s aligns with batch and
   // overrides each task's deadline (the slack left after waiting). Shards
   // with no tasks are omitted; the returned problems are in shard order.
   // Every batch issuer — and every external owner — must be up (the

@@ -107,16 +107,6 @@ double FaultSchedule::link_factor(std::size_t device, double t) const {
   return factor;
 }
 
-std::vector<FaultEvent> FaultSchedule::events_between(double from,
-                                                      double to) const {
-  std::vector<FaultEvent> out;
-  for (const FaultEvent& e : events_) {
-    if (e.time_s > to) break;
-    if (e.time_s > from) out.push_back(e);
-  }
-  return out;
-}
-
 std::size_t FaultSchedule::device_failures() const {
   std::size_t n = 0;
   for (const FaultEvent& e : events_) {

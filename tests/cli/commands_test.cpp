@@ -261,6 +261,7 @@ TEST_F(CliTest, ChurnCommandReportsResilienceCounters) {
   EXPECT_TRUE(rungs.contains("LP-HTA"));
   EXPECT_TRUE(rungs.contains("HGOS"));
   EXPECT_TRUE(rungs.contains("LocalFirst"));
+  EXPECT_EQ(j.at("decision_digest").as_string().size(), 16u);
 }
 
 TEST_F(CliTest, ChurnCommandIsDeterministicPerSeed) {
@@ -285,27 +286,27 @@ TEST_F(CliTest, ObsFlagsEmitTraceMetricsAndSummary) {
   EXPECT_NE(out_.str().find("wrote metrics"), std::string::npos);
 
   // The trace must be well-formed JSON and contain the solver-pipeline and
-  // controller spans.
+  // serve-loop spans.
   const io::Json doc = io::Json::parse(io::read_file(trace));
   const io::JsonArray& events = doc.at("traceEvents").as_array();
   ASSERT_FALSE(events.empty());
   std::set<std::string> names;
   for (const io::Json& e : events) names.insert(e.at("name").as_string());
   for (const char* expected :
-       {"cli.churn", "controller.run", "controller.epoch", "lp.presolve",
+       {"cli.churn", "serve.run", "serve.epoch", "lp.presolve",
         "lp.simplex.solve", "lp_hta.relax", "lp_hta.round", "lp_hta.repair"}) {
     EXPECT_TRUE(names.count(expected)) << "missing span: " << expected;
   }
 
   const std::string metrics = io::read_file(prom);
-  EXPECT_NE(metrics.find("mecsched_controller_epochs_total"),
+  EXPECT_NE(metrics.find("mecsched_serve_epochs_total"),
             std::string::npos);
   EXPECT_NE(metrics.find("mecsched_lp_simplex_pivots_total"),
             std::string::npos);
   EXPECT_NE(metrics.find("_bucket{le="), std::string::npos);
 
   // --obs-summary prints the registry as a table.
-  EXPECT_NE(out_.str().find("controller.epoch.seconds"), std::string::npos);
+  EXPECT_NE(out_.str().find("serve.epoch.seconds"), std::string::npos);
 }
 
 TEST_F(CliTest, ObsFlagsWorkOnAnyCommand) {

@@ -1,5 +1,4 @@
-// ReadmissionQueue: the retry policy shared by the resilient controller
-// and the serve daemon (extracted from control/resilient.cpp).
+// ReadmissionQueue: the serve daemon's retry policy.
 #include "control/readmission.h"
 
 #include <gtest/gtest.h>

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 
 #include "assign/hta_instance.h"
@@ -101,6 +102,25 @@ TEST(CodecTest, SparseConfigKeepsDefaults) {
   EXPECT_EQ(r.num_tasks, 5u);
   EXPECT_EQ(r.num_devices, defaults.num_devices);
   EXPECT_DOUBLE_EQ(r.deadline_slack_max, defaults.deadline_slack_max);
+}
+
+TEST(CodecTest, IndicesMustBeNonNegativeIntegersInRange) {
+  const Json task = task_to_json(sample_scenario().tasks[0]);
+  for (const char* key : {"user", "index", "external_owner"}) {
+    for (const double bad : {-1.0, 0.5, 1e300, std::nan("")}) {
+      Json j = task;
+      j.as_object()[key] = Json(bad);
+      EXPECT_THROW(task_from_json(j), JsonError) << key << " = " << bad;
+    }
+  }
+  EXPECT_THROW(config_from_json(Json::parse(R"({"num_tasks": -3})")),
+               JsonError);
+  EXPECT_THROW(config_from_json(Json::parse(R"({"num_devices": 2.5})")),
+               JsonError);
+  Json topo = topology_to_json(sample_scenario().topology);
+  topo.as_object()["devices"].as_array()[0].as_object()["base_station"] =
+      Json(-2.0);
+  EXPECT_THROW(topology_from_json(topo), JsonError);
 }
 
 TEST(CodecTest, AssignmentRoundTrip) {

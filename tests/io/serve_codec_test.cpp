@@ -65,17 +65,39 @@ TEST(ServeCodecTest, EventCodecCoversEveryKind) {
       serve::Event::join(0.5, 1, 2),
       serve::Event::leave(0.75, 3),
       serve::Event::migrate(1.0, 4, 0),
+      serve::Event::station_fail(1.25, 1),
+      serve::Event::station_recover(1.5, 1),
+      serve::Event::link_degrade(1.75, 3, 0.375),
+      serve::Event::link_restore(2.0, 3),
   };
   for (const serve::Event& e : events) {
     const serve::Event back = serve_event_from_json(serve_event_to_json(e));
     EXPECT_EQ(back.kind, e.kind);
     EXPECT_DOUBLE_EQ(back.time_s, e.time_s);
     EXPECT_EQ(back.device, e.device);
-    if (e.kind == serve::EventKind::kDeviceJoin ||
-        e.kind == serve::EventKind::kDeviceMigrate) {
-      EXPECT_EQ(back.station, e.station);
-    }
+    EXPECT_EQ(back.station, e.station);
+    EXPECT_DOUBLE_EQ(back.factor, e.factor);
   }
+}
+
+TEST(ServeCodecTest, IndicesMustBeNonNegativeIntegersInRange) {
+  const Json join = serve_event_to_json(serve::Event::join(0.0, 1, 2));
+  for (const double bad : {-1.0, 1.5, 1e300}) {
+    Json j = join;
+    j.as_object()["station"] = Json(bad);
+    EXPECT_THROW(serve_event_from_json(j), JsonError) << bad;
+    j = join;
+    j.as_object()["device"] = Json(bad);
+    EXPECT_THROW(serve_event_from_json(j), JsonError) << bad;
+  }
+  // A bad index inside a replay file fails at decode, before any
+  // topology validation runs.
+  const workload::ServeWorkload w = sample_workload();
+  Json doc = serve_workload_to_json(w);
+  doc.as_object()["events"].as_array().push_back(join);
+  doc.as_object()["events"].as_array().back().as_object()["station"] =
+      Json(-1.0);
+  EXPECT_THROW(serve_workload_from_json(doc), JsonError);
 }
 
 TEST(ServeCodecTest, UnknownKindIsAnError) {

@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
-#include "assign/online.h"
 #include "io/codec.h"
+#include "serve/daemon.h"
 #include "workload/arrivals.h"
 
 namespace mecsched::io {
@@ -34,23 +34,17 @@ TEST(TimedCodecTest, RoundTripPreservesReleasesAndTasks) {
 TEST(TimedCodecTest, RoundTripPreservesOnlineScheduling) {
   const auto s = sample();
   const auto restored = timed_scenario_from_json(timed_scenario_to_json(s));
-  const auto a = assign::OnlineScheduler().run(s.topology, s.tasks);
-  const auto b =
-      assign::OnlineScheduler().run(restored.topology, restored.tasks);
-  ASSERT_EQ(a.outcomes.size(), b.outcomes.size());
-  EXPECT_DOUBLE_EQ(a.total_energy_j, b.total_energy_j);
-  for (std::size_t i = 0; i < a.outcomes.size(); ++i) {
-    EXPECT_EQ(a.outcomes[i].decision, b.outcomes[i].decision);
-  }
-}
-
-TEST(TimedCodecTest, OnlineResultSerializes) {
-  const auto s = sample();
-  const auto r = assign::OnlineScheduler().run(s.topology, s.tasks);
-  const Json j = online_result_to_json(r);
-  EXPECT_EQ(j.at("outcomes").as_array().size(), s.tasks.size());
-  EXPECT_DOUBLE_EQ(j.at("total_energy_j").as_number(), r.total_energy_j);
-  EXPECT_EQ(Json::parse(j.dump()), j);
+  serve::ServeOptions opts;
+  opts.readmission.max_attempts = 1;
+  const serve::ServeDaemon daemon(opts);
+  serve::DecisionLog a, b;
+  const serve::ServeResult ra =
+      daemon.run(s.topology, workload::to_serve_trace(s), &a);
+  const serve::ServeResult rb =
+      daemon.run(restored.topology, workload::to_serve_trace(restored), &b);
+  EXPECT_EQ(ra.decisions, rb.decisions);
+  EXPECT_DOUBLE_EQ(ra.total_energy_j, rb.total_energy_j);
+  EXPECT_EQ(a.digest(), b.digest());
 }
 
 }  // namespace

@@ -71,8 +71,8 @@ TEST(PrometheusExportTest, RendersAllThreeKinds) {
   Registry reg;
   reg.counter("lp.simplex.pivots").add(42);
   reg.gauge("lp_hta.last_integrality_gap").set(0.125);
-  reg.histogram("controller.epoch.seconds").observe(0.5);
-  reg.histogram("controller.epoch.seconds").observe(2.0);
+  reg.histogram("serve.epoch.seconds").observe(0.5);
+  reg.histogram("serve.epoch.seconds").observe(2.0);
 
   const std::string text = to_prometheus(reg);
   EXPECT_NE(text.find("# TYPE mecsched_lp_simplex_pivots_total counter\n"
@@ -82,16 +82,16 @@ TEST(PrometheusExportTest, RendersAllThreeKinds) {
                       "mecsched_lp_hta_last_integrality_gap 0.125\n"),
             std::string::npos);
   EXPECT_NE(
-      text.find("# TYPE mecsched_controller_epoch_seconds histogram"),
+      text.find("# TYPE mecsched_serve_epoch_seconds histogram"),
       std::string::npos);
-  EXPECT_NE(text.find("mecsched_controller_epoch_seconds_bucket{le=\"1\"} 1"),
+  EXPECT_NE(text.find("mecsched_serve_epoch_seconds_bucket{le=\"1\"} 1"),
             std::string::npos);
   EXPECT_NE(
-      text.find("mecsched_controller_epoch_seconds_bucket{le=\"+Inf\"} 2"),
+      text.find("mecsched_serve_epoch_seconds_bucket{le=\"+Inf\"} 2"),
       std::string::npos);
-  EXPECT_NE(text.find("mecsched_controller_epoch_seconds_sum 2.5"),
+  EXPECT_NE(text.find("mecsched_serve_epoch_seconds_sum 2.5"),
             std::string::npos);
-  EXPECT_NE(text.find("mecsched_controller_epoch_seconds_count 2"),
+  EXPECT_NE(text.find("mecsched_serve_epoch_seconds_count 2"),
             std::string::npos);
 }
 

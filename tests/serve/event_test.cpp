@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "common/error.h"
 
 namespace mecsched::serve {
@@ -56,6 +58,26 @@ TEST(TraceTest, ValidateRejectsOutOfRangeStation) {
   const Trace trace({Event::join(0.0, 0, 3)});
   EXPECT_THROW(trace.validate_against(4, 3), ModelError);
   EXPECT_NO_THROW(trace.validate_against(4, 4));
+}
+
+TEST(TraceTest, ValidateRejectsOutOfRangeStationFault) {
+  for (const Event& e :
+       {Event::station_fail(0.0, 3), Event::station_recover(0.0, 3)}) {
+    const Trace trace({e});
+    EXPECT_THROW(trace.validate_against(4, 3), ModelError);
+    EXPECT_NO_THROW(trace.validate_against(4, 4));
+  }
+}
+
+TEST(TraceTest, ValidateRejectsLinkFactorsOutsideTheUnitInterval) {
+  for (const double bad : {0.0, -0.5, 1.5, std::nan(""), HUGE_VAL}) {
+    const Trace trace({Event::link_degrade(0.0, 0, bad)});
+    EXPECT_THROW(trace.validate_against(1, 1), ModelError) << bad;
+  }
+  EXPECT_NO_THROW(Trace({Event::link_degrade(0.0, 0, 1.0)})
+                      .validate_against(1, 1));
+  EXPECT_THROW(Trace({Event::link_restore(0.0, 1)}).validate_against(1, 1),
+               ModelError);
 }
 
 TEST(TraceTest, ValidateRejectsNegativeTime) {

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include "mec/parameters.h"
+#include "serve/population.h"
+
 namespace mecsched::serve {
 namespace {
 
@@ -55,6 +58,62 @@ TEST(ReconcilerTest, IssuerMigrationOrphansOffloadedWorkOnly) {
   EXPECT_EQ(i.orphaned[1], 3u);
   ASSERT_EQ(rec.running().size(), 1u);
   EXPECT_EQ(rec.running()[0].where, assign::Decision::kLocal);
+}
+
+TEST(ReconcilerTest, StationFailOrphansOffloadedWorkThroughThatCell) {
+  Reconciler rec;
+  rec.start(running(1, assign::Decision::kLocal, 5.0));
+  rec.start(running(2, assign::Decision::kEdge, 5.0));
+  rec.start(running(3, assign::Decision::kCloud, 5.0));
+  RunningTask elsewhere = running(4, assign::Decision::kEdge, 5.0);
+  elsewhere.station = 1;
+  rec.start(elsewhere);
+  const Interruptions i = rec.observe(Event::station_fail(1.0, 0));
+  // The cell's CPU and its backhaul to the cloud are gone; local runs and
+  // work served by other cells survive.
+  ASSERT_EQ(i.orphaned.size(), 2u);
+  EXPECT_EQ(i.orphaned[0], 2u);
+  EXPECT_EQ(i.orphaned[1], 3u);
+  EXPECT_TRUE(i.lost_issuer.empty());
+  ASSERT_EQ(rec.running().size(), 2u);
+  EXPECT_TRUE(rec.observe(Event::station_recover(2.0, 0)).orphaned.empty());
+  EXPECT_TRUE(rec.observe(Event::link_degrade(2.0, 0, 0.5)).orphaned.empty());
+}
+
+TEST(ReconcilerTest, JoinWhileUpReHomesWithoutOrphaning) {
+  // Pins today's behaviour: a join for a device that is already up moves
+  // it to the join's station, like a migrate, but unlike a migrate it
+  // leaves the device's in-flight edge/cloud work running through the old
+  // cell.
+  std::vector<mec::Device> devices(2);
+  std::vector<mec::BaseStation> stations(2);
+  for (std::size_t i = 0; i < 2; ++i) {
+    devices[i].id = i;
+    devices[i].base_station = i;
+    devices[i].cpu_hz = 1.5e9;
+    devices[i].radio = mec::kWiFi;
+    devices[i].max_resource = 8.0;
+    stations[i].id = i;
+    stations[i].cpu_hz = mec::SystemParameters{}.base_station_hz;
+    stations[i].max_resource = 40.0;
+  }
+  const mec::Topology universe(std::move(devices), std::move(stations),
+                               mec::SystemParameters{});
+  Population pop(universe);
+  Reconciler rec;
+  rec.start(running(1, assign::Decision::kEdge, 5.0));  // issuer 0, cell 0
+
+  const Event join = Event::join(1.0, 0, 1);
+  EXPECT_TRUE(rec.observe(join).orphaned.empty());
+  pop.apply(join);
+  EXPECT_TRUE(pop.up(0));
+  EXPECT_EQ(pop.station(0), 1u);
+  EXPECT_EQ(pop.num_up(), 2u);
+  ASSERT_EQ(rec.running().size(), 1u);
+  EXPECT_EQ(rec.running()[0].station, 0u);
+
+  // The same move as a migrate orphans the edge run.
+  EXPECT_EQ(rec.observe(Event::migrate(1.5, 0, 0)).orphaned.size(), 1u);
 }
 
 TEST(ReconcilerTest, OwnerMigrationNeverInterrupts) {

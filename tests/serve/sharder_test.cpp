@@ -163,6 +163,29 @@ TEST(SharderTest, DownDevicesAreExcludedFromTheShardTopology) {
   }
 }
 
+TEST(SharderTest, DownStationsAndFadedLinksArePricedAsTheyAreNow) {
+  const mec::Topology universe = make_universe();
+  const Sharder sharder(universe, {1});
+  Population pop(universe);
+  pop.apply(Event::station_fail(0.0, 2));
+  pop.apply(Event::link_degrade(0.0, 1, 0.5));
+  const PendingTask p = pending(0, 0, 0, 0.0);
+  const std::vector<const PendingTask*> batch{&p};
+  const auto problems =
+      sharder.build(pop, full_device_residual(universe),
+                    full_station_residual(universe), batch, {10.0});
+  ASSERT_EQ(problems.size(), 1u);
+  const mec::Topology& topo = problems[0].topology;
+  EXPECT_DOUBLE_EQ(topo.base_station(2).max_resource, 0.0);
+  EXPECT_DOUBLE_EQ(topo.base_station(1).max_resource, 40.0);
+  EXPECT_DOUBLE_EQ(topo.device(1).radio.upload_bps,
+                   0.5 * universe.device(1).radio.upload_bps);
+  EXPECT_DOUBLE_EQ(topo.device(1).radio.download_bps,
+                   0.5 * universe.device(1).radio.download_bps);
+  EXPECT_EQ(topo.device(0).radio.upload_bps,
+            universe.device(0).radio.upload_bps);  // x1.0 is exact
+}
+
 TEST(SharderTest, DeadlineOverrideReplacesTheIssuedDeadline) {
   const mec::Topology universe = make_universe();
   const Sharder sharder(universe, {2});

@@ -65,19 +65,6 @@ TEST(FaultScheduleTest, EventsAreSortedAndCounted) {
   EXPECT_EQ(s.station_failures(), 1u);
 }
 
-TEST(FaultScheduleTest, EventsBetweenIsHalfOpen) {
-  const FaultSchedule s({
-      {1.0, FaultKind::kDeviceFail, 0, 1.0},
-      {2.0, FaultKind::kDeviceRecover, 0, 1.0},
-      {3.0, FaultKind::kDeviceFail, 1, 1.0},
-  });
-  const auto between = s.events_between(1.0, 3.0);  // (1, 3]
-  ASSERT_EQ(between.size(), 2u);
-  EXPECT_DOUBLE_EQ(between[0].time_s, 2.0);
-  EXPECT_DOUBLE_EQ(between[1].time_s, 3.0);
-  EXPECT_TRUE(s.events_between(3.0, 10.0).empty());
-}
-
 TEST(FaultScheduleTest, ValidatesEventsAndTargets) {
   EXPECT_THROW(FaultSchedule({{-1.0, FaultKind::kDeviceFail, 0, 1.0}}),
                ModelError);
