@@ -23,7 +23,6 @@
 #include "obs/flight_recorder.h"
 #include "obs/registry.h"
 #include "obs/tracer.h"
-#include "obs/window.h"
 
 namespace mecsched::bench {
 
@@ -79,8 +78,7 @@ inline std::string env_or_empty(const char* key) {
 //     "values":   { "<key>": <number>, ... },   // bench-specific scalars
 //     "flags":    { "<key>": <bool>,   ... },   // bench-specific booleans
 //     "counters": { "<metric>": <count>, ... }, // registry counters
-//     "windows":  { "<metric>": {count,p50,p90,p95,p99,rate_hz}, ... },
-//     "rates":    { "<metric>": {count,rate_hz}, ... }
+//     "windows":  { "<metric>": {count,p50,p90,p95,p99,rate_hz}, ... }
 //   }
 //
 // NaN/Inf serialize as JSON null. tools/bench/trajectory.py validates the
@@ -134,7 +132,7 @@ class BenchTelemetry {
     const auto windows = reg.windows();
     sep = "";
     for (const auto& [k, w] : windows) {
-      const obs::WindowedHistogram::Snapshot s = w->snapshot();
+      const obs::Histogram::Snapshot s = w->snapshot();
       os << sep << "\n    \"" << k << "\": {\"count\": " << s.count
          << ", \"p50\": ";
       num(os, s.p50);
@@ -149,18 +147,7 @@ class BenchTelemetry {
       os << "}";
       sep = ",";
     }
-    os << (windows.empty() ? "" : "\n  ") << "},\n  \"rates\": {";
-    const auto rates = reg.rates();
-    sep = "";
-    for (const auto& [k, r] : rates) {
-      const obs::RateWindow::Snapshot s = r->snapshot();
-      os << sep << "\n    \"" << k << "\": {\"count\": " << s.count
-         << ", \"rate_hz\": ";
-      num(os, s.rate_hz);
-      os << "}";
-      sep = ",";
-    }
-    os << (rates.empty() ? "" : "\n  ") << "}\n}\n";
+    os << (windows.empty() ? "" : "\n  ") << "}\n}\n";
     std::ofstream f(path_);
     f << os.str();
   }

@@ -16,7 +16,6 @@
 
 #include "bench_common.h"
 #include "obs/registry.h"
-#include "obs/window.h"
 #include "serve/daemon.h"
 #include "workload/serve_trace.h"
 
@@ -73,9 +72,9 @@ int main() {
       static_cast<double>(r.arrivals) / static_cast<double>(kEpochs);
   const double decisions_per_sec =
       run_s > 0.0 ? static_cast<double>(r.decisions) / run_s : 0.0;
-  const obs::WindowedHistogram::Snapshot admit =
+  const obs::Histogram::Snapshot admit =
       obs::Registry::global().window("serve.admit_to_decision_ms").snapshot();
-  const obs::WindowedHistogram::Snapshot solve =
+  const obs::Histogram::Snapshot solve =
       obs::Registry::global().window("serve.epoch.solve_ms").snapshot();
 
   std::cout << "devices:            " << w.universe.num_devices() << '\n'

@@ -66,11 +66,15 @@ Assignment Portfolio::assign_with_report(const HtaInstance& instance,
       // A solver blowup in one candidate must not take down the portfolio:
       // skip it and let the others compete.
       ++report.candidates_failed;
-      reg.counter("portfolio.candidates_failed").add();
+      static obs::Counter& failed =
+          obs::Registry::global().counter("portfolio.candidates_failed");
+      failed.add();
       last_error = candidate->name() + ": " + e.what();
       continue;
     }
-    reg.counter("portfolio.candidates_tried").add();
+    static obs::Counter& tried =
+        obs::Registry::global().counter("portfolio.candidates_tried");
+    tried.add();
     const Metrics m = evaluate(instance, plan);
     Score score;
     score.unsatisfied = m.cancelled + m.deadline_violations;

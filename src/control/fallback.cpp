@@ -9,7 +9,6 @@
 #include "obs/flight_recorder.h"
 #include "obs/registry.h"
 #include "obs/tracer.h"
-#include "obs/window.h"
 
 namespace mecsched::control {
 
@@ -55,6 +54,7 @@ assign::Assignment FallbackChain::assign(const assign::HtaInstance& instance,
   obs::Registry& reg = obs::Registry::global();
   obs::Tracer& tracer = obs::Tracer::global();
   obs::FlightRecorder& flight = obs::FlightRecorder::global();
+  obs::Histogram& rung_ms_hist = reg.window("fallback.rung_ms");
   if (!cancel.deadline().is_unlimited()) {
     reg.histogram("fallback.budget_ms").observe(cancel.deadline()
                                                     .remaining_ms());
@@ -80,6 +80,7 @@ assign::Assignment FallbackChain::assign(const assign::HtaInstance& instance,
     if (r + 1 < rungs_.size() && cancel.expired()) {
       // The budget is gone; don't even start a non-final rung, drop
       // straight toward the floor.
+      // lint:allow-registry-lookup-in-loop -- name varies per rung (<= 3).
       reg.counter("fallback.skipped." + to_string(rung)).add();
       if (flight.enabled()) cut_record(rung, "skipped", last_error, 0.0);
       if (last_error.empty()) last_error = "budget exhausted";
@@ -95,9 +96,9 @@ assign::Assignment FallbackChain::assign(const assign::HtaInstance& instance,
       assign::Assignment plan = rungs_[r]->assign(instance, cancel);
       served = rung;
       const double ms = rung_ms();
+      // lint:allow-registry-lookup-in-loop -- name varies per rung (<= 3).
       reg.counter("fallback.served." + to_string(rung)).add();
-      reg.histogram("fallback.rung_ms").observe(ms);
-      reg.window("fallback.rung_ms").observe(ms);
+      rung_ms_hist.observe(ms);
       if (flight.enabled()) cut_record(rung, "served", "", ms * 1e-3);
       return plan;
     } catch (const SolverError& e) {
@@ -105,9 +106,9 @@ assign::Assignment FallbackChain::assign(const assign::HtaInstance& instance,
       const double ms = rung_ms();
       // A rung falling over is exactly the kind of rare event a trace
       // should pin to a timestamp.
+      // lint:allow-registry-lookup-in-loop -- name varies per rung (<= 3).
       reg.counter("fallback.failed." + to_string(rung)).add();
-      reg.histogram("fallback.rung_ms").observe(ms);
-      reg.window("fallback.rung_ms").observe(ms);
+      rung_ms_hist.observe(ms);
       if (flight.enabled()) cut_record(rung, "failed", e.what(), ms * 1e-3);
       tracer.instant("fallback.rung_failed", "control",
                      tracer.enabled()

@@ -37,7 +37,6 @@
 #include "exec/thread_pool.h"
 #include "obs/flight_recorder.h"
 #include "obs/registry.h"
-#include "obs/window.h"
 
 namespace mecsched::exec {
 
@@ -106,7 +105,7 @@ class SweepRunner {
 
   // Runs `fn` once per cell across the pool and returns the results in
   // grid order. Waits for every cell even when one throws, then rethrows
-  // the first failure. Each cell's wall-clock lands in the
+  // the first failure. Each cell's wall-clock lands in the rolling
   // exec.sweep.cell_seconds histogram of its shard (hence, merged, of the
   // global registry).
   template <typename T>
@@ -126,6 +125,7 @@ class SweepRunner {
           CellContext ctx(i, options_, *shards[i]);
           const bool past_deadline = options_.deadline.expired();
           if (past_deadline) {
+            // lint:allow-registry-lookup-in-loop -- once per cell, own shard.
             shards[i]->counter("exec.sweep.cells_past_deadline").add();
           }
           obs::FlightRecorder& flight = obs::FlightRecorder::global();
@@ -157,9 +157,8 @@ class SweepRunner {
             throw;
           }
           const double dt = elapsed();
-          shards[i]->histogram("exec.sweep.cell_seconds").observe(dt);
+          // lint:allow-registry-lookup-in-loop -- once per cell, own shard.
           shards[i]->window("exec.sweep.cell_seconds").observe(dt);
-          shards[i]->rate("exec.sweep.cells").record();
           if (flight.enabled()) {
             cut_record(past_deadline ? "deadline" : "ok", "", dt);
           }

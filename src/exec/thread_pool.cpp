@@ -15,6 +15,15 @@ std::atomic<std::size_t>& jobs_override() {
   return value;
 }
 
+// Metric handles are function-local statics: resolved on first use, so a
+// per-task update costs no registry lookup (the pool always reports into
+// the global registry, whose entries outlive every pool).
+obs::Gauge& queue_depth_gauge() {
+  static obs::Gauge& gauge =
+      obs::Registry::global().gauge("exec.pool.queue_depth");
+  return gauge;
+}
+
 }  // namespace
 
 std::size_t ThreadPool::default_jobs() {
@@ -71,9 +80,10 @@ void ThreadPool::enqueue(std::function<void()> task) {
   }
   const std::size_t depth =
       pending_.fetch_add(1, std::memory_order_relaxed) + 1;
-  obs::Registry& reg = obs::Registry::global();
-  reg.counter("exec.pool.tasks").add();
-  reg.gauge("exec.pool.queue_depth").set(static_cast<double>(depth));
+  static obs::Counter& tasks =
+      obs::Registry::global().counter("exec.pool.tasks");
+  tasks.add();
+  queue_depth_gauge().set(static_cast<double>(depth));
   wake_cv_.notify_one();
 }
 
@@ -95,7 +105,9 @@ bool ThreadPool::try_pop(std::size_t id, std::function<void()>& task) {
       task = std::move(victim.queue.front());
       victim.queue.pop_front();
       pending_.fetch_sub(1, std::memory_order_relaxed);
-      obs::Registry::global().counter("exec.pool.steals").add();
+      static obs::Counter& steals =
+          obs::Registry::global().counter("exec.pool.steals");
+      steals.add();
       return true;
     }
   }
@@ -106,8 +118,8 @@ void ThreadPool::worker_loop(std::size_t id) {
   for (;;) {
     std::function<void()> task;
     if (try_pop(id, task)) {
-      obs::Registry::global().gauge("exec.pool.queue_depth")
-          .set(static_cast<double>(pending_.load(std::memory_order_relaxed)));
+      queue_depth_gauge().set(
+          static_cast<double>(pending_.load(std::memory_order_relaxed)));
       try {
         task();  // packaged_task captures any exception into its future
       } catch (...) {
@@ -115,7 +127,9 @@ void ThreadPool::worker_loop(std::size_t id) {
         // the worker down mid-drain: a dead worker strands the queue and
         // deadlocks every future still waiting on it. Swallow, count, keep
         // draining.
-        obs::Registry::global().counter("exec.pool.task_exceptions").add();
+        static obs::Counter& task_exceptions =
+            obs::Registry::global().counter("exec.pool.task_exceptions");
+        task_exceptions.add();
       }
       continue;
     }

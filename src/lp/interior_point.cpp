@@ -12,7 +12,6 @@
 #include "common/chaos_hook.h"
 #include "common/error.h"
 #include "obs/flight_recorder.h"
-#include "obs/window.h"
 #include "lp/sparse_cholesky.h"
 #include "lp/sparse_matrix.h"
 #include "lp/standard_form.h"
@@ -122,6 +121,11 @@ Solution ipm_loop(const Problem& problem, const StandardForm& sf,
     return deg;
   };
 
+  // Last-iteration convergence state; with a trace attached, Perfetto
+  // shows how the residuals decayed inside each solve.
+  obs::Gauge& rel_gap_gauge = reg.gauge("lp.ipm.last_rel_gap");
+  obs::Gauge& primal_residual_gauge = reg.gauge("lp.ipm.last_primal_residual");
+  obs::Gauge& dual_residual_gauge = reg.gauge("lp.ipm.last_dual_residual");
   bool poison_next_factor = false;
   for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
     if (token.expired()) return anytime(iter, x);
@@ -149,11 +153,9 @@ Solution ipm_loop(const Problem& problem, const StandardForm& sf,
     const double rel_gap =
         std::fabs(dot(sf.c, x) - dot(sf.b, y)) /
         (1.0 + std::fabs(dot(sf.c, x)));
-    // Last-iteration convergence state; with a trace attached, Perfetto
-    // shows how the residuals decayed inside each solve.
-    reg.gauge("lp.ipm.last_rel_gap").set(rel_gap);
-    reg.gauge("lp.ipm.last_primal_residual").set(norm_inf(rb));
-    reg.gauge("lp.ipm.last_dual_residual").set(norm_inf(rc));
+    rel_gap_gauge.set(rel_gap);
+    primal_residual_gauge.set(norm_inf(rb));
+    dual_residual_gauge.set(norm_inf(rc));
     if (norm_inf(rb) <= options.tolerance * b_scale &&
         norm_inf(rc) <= options.tolerance * c_scale &&
         rel_gap <= options.tolerance) {
@@ -256,6 +258,10 @@ Solution ipm_loop(const Problem& problem, const StandardForm& sf,
 }  // namespace
 
 Solution InteriorPointSolver::solve(const Problem& problem) const {
+  // The span's `lp.ipm.solve.seconds` histogram also keeps a rolling view;
+  // attach it once, before the first solve observes into it.
+  [[maybe_unused]] static obs::Histogram& solve_seconds =
+      obs::Registry::global().window("lp.ipm.solve.seconds");
   const obs::ScopedTimer span("lp.ipm.solve", "lp");
   obs::FlightRecorder& flight = obs::FlightRecorder::global();
   const std::uint64_t chaos_before =
@@ -292,8 +298,6 @@ Solution InteriorPointSolver::solve(const Problem& problem) const {
   reg.counter("lp.ipm.iterations").add(out.iterations);
   reg.histogram("lp.ipm.iterations_per_solve")
       .observe(static_cast<double>(out.iterations));
-  reg.window("lp.ipm.solve.seconds").observe(span.elapsed_s());
-  reg.rate("lp.solves").record();
   if (!out.optimal()) reg.counter("lp.ipm.non_optimal").add();
   if (out.status == SolveStatus::kDeadline) {
     reg.counter("solve.deadline.ipm").add();

@@ -15,7 +15,6 @@
 #include "obs/flight_recorder.h"
 #include "obs/registry.h"
 #include "obs/tracer.h"
-#include "obs/window.h"
 
 namespace mecsched::lp {
 namespace {
@@ -622,6 +621,10 @@ Solution SimplexSolver::solve(const Problem& problem,
 
 Solution SimplexSolver::solve_instrumented(
     const Problem& problem, const std::vector<double>* guess) const {
+  // The span's `lp.simplex.solve.seconds` histogram also keeps a rolling
+  // view; attach it once, before the first solve observes into it.
+  [[maybe_unused]] static obs::Histogram& solve_seconds =
+      obs::Registry::global().window("lp.simplex.solve.seconds");
   const obs::ScopedTimer span("lp.simplex.solve", "lp");
   obs::FlightRecorder& flight = obs::FlightRecorder::global();
   const std::uint64_t chaos_before =
@@ -661,8 +664,6 @@ Solution SimplexSolver::solve_instrumented(
   reg.counter("lp.simplex.pivots").add(out.iterations);
   reg.histogram("lp.simplex.pivots_per_solve")
       .observe(static_cast<double>(out.iterations));
-  reg.window("lp.simplex.solve.seconds").observe(span.elapsed_s());
-  reg.rate("lp.solves").record();
   if (!out.optimal()) reg.counter("lp.simplex.non_optimal").add();
   if (out.status == SolveStatus::kDeadline) {
     reg.counter("solve.deadline.simplex").add();

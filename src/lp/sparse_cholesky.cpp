@@ -95,6 +95,14 @@ std::size_t ereach(std::size_t k, const std::vector<std::size_t>& c_ptr,
   return top;
 }
 
+// Resolved on first eviction, so a cache that never evicts exports no
+// eviction counter.
+obs::Counter& evictions_counter() {
+  static obs::Counter& counter =
+      obs::Registry::global().counter("lp.sparse.pattern_cache_evictions");
+  return counter;
+}
+
 }  // namespace
 
 NormalEquationsSymbolic::NormalEquationsSymbolic(const SparseMatrix& a) {
@@ -250,7 +258,7 @@ std::shared_ptr<const NormalEquationsSymbolic> SymbolicFactorCache::analyze(
   while (impl_->lru.size() > impl_->capacity) {
     impl_->index.erase(impl_->lru.back().first);
     impl_->lru.pop_back();
-    reg.counter("lp.sparse.pattern_cache_evictions").add();
+    evictions_counter().add();
   }
   return computed;
 }
@@ -261,7 +269,7 @@ void SymbolicFactorCache::set_capacity(std::size_t capacity) {
   while (impl_->lru.size() > impl_->capacity) {
     impl_->index.erase(impl_->lru.back().first);
     impl_->lru.pop_back();
-    obs::Registry::global().counter("lp.sparse.pattern_cache_evictions").add();
+    evictions_counter().add();
   }
 }
 

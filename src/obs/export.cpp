@@ -126,17 +126,12 @@ std::string to_prometheus(const Registry& registry) {
        << p << "_count " << s.count() << "\n";
   }
   for (const auto& [name, w] : registry.windows()) {
-    const WindowedHistogram::Snapshot s = w->snapshot();
+    const Histogram::Snapshot s = w->snapshot();
     prom_window_gauge(os, name, "count", static_cast<double>(s.count));
     prom_window_gauge(os, name, "p50", s.p50);
     prom_window_gauge(os, name, "p90", s.p90);
     prom_window_gauge(os, name, "p95", s.p95);
     prom_window_gauge(os, name, "p99", s.p99);
-    prom_window_gauge(os, name, "rate_hz", s.rate_hz);
-  }
-  for (const auto& [name, r] : registry.rates()) {
-    const RateWindow::Snapshot s = r->snapshot();
-    prom_window_gauge(os, name, "count", static_cast<double>(s.count));
     prom_window_gauge(os, name, "rate_hz", s.rate_hz);
   }
   return os.str();
@@ -171,7 +166,7 @@ Table summary_table(const Registry& registry) {
                Table::num(hist->approx_percentile(0.99), 6)});
   }
   for (const auto& [name, w] : registry.windows()) {
-    const WindowedHistogram::Snapshot s = w->snapshot();
+    const Histogram::Snapshot s = w->snapshot();
     if (s.count == 0) {
       t.add_row({name + ".window", "window", "0", "-", "-", "-", "-", "-",
                  "-", "-"});
@@ -183,13 +178,6 @@ Table summary_table(const Registry& registry) {
                Table::num(s.min, 6), Table::num(s.max, 6),
                Table::num(s.p50, 6), Table::num(s.p90, 6),
                Table::num(s.p99, 6)});
-  }
-  for (const auto& [name, r] : registry.rates()) {
-    const RateWindow::Snapshot s = r->snapshot();
-    // The mean column carries the rolling events/second (a mean rate).
-    t.add_row({name + ".window", "rate", std::to_string(s.count), "-",
-               std::isnan(s.rate_hz) ? "-" : Table::num(s.rate_hz, 4), "-",
-               "-", "-", "-", "-"});
   }
   return t;
 }

@@ -1,27 +1,31 @@
 // Process-wide metric registry: counters, gauges and histograms.
 //
 // The registry is the measurement substrate every layer reports into —
-// solver iteration counts, repair moves, controller epoch tallies, span
+// solver iteration counts, repair moves, serve epoch tallies, span
 // durations. Design goals, in order:
 //
-//   * writes are cheap enough for per-solve / per-epoch granularity
-//     (counters and gauges are single relaxed atomics; histograms take one
-//     uncontended mutex),
-//   * references returned by counter()/gauge()/histogram() stay valid for
-//     the life of the process — reset() zeroes values but never removes
-//     entries, so call sites may cache `static Counter& c = ...`,
-//   * everything is thread-safe: the LP-HTA cluster workers and any future
-//     sharded controller write concurrently.
+//   * writes are cheap enough for per-decision / per-solve granularity
+//     (counters and gauges are single relaxed atomics; a histogram takes
+//     one uncontended mutex per observe),
+//   * references returned by counter()/gauge()/histogram()/window() stay
+//     valid for the life of the process — reset() zeroes values but never
+//     removes entries, so call sites resolve a handle once and keep it,
+//   * everything is thread-safe: the LP-HTA cluster workers, the sweep
+//     workers and the serve shard solves write concurrently.
 //
 // Exporters (Prometheus text, summary table) live in obs/export.h; the
 // structured event tracer lives in obs/tracer.h.
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "common/stats.h"
@@ -53,11 +57,37 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
-// Distribution of observed values: a streaming Summary (count/mean/var/
-// min/max) plus fixed log10 buckets spanning 1e-9 .. 1e9. The bucket grid
-// is deliberately static — durations in seconds, iteration counts and
-// energy all land inside it, and a fixed grid keeps merge and Prometheus
-// export trivial.
+// Distribution of observed values — the one distribution type in obs.
+//
+// Lifetime view: a streaming Summary (count/mean/var/min/max) plus fixed
+// log10 buckets spanning 1e-9 .. 1e9. The bucket grid is deliberately
+// static — durations in seconds, iteration counts and energy all land
+// inside it, and a fixed grid keeps merge and Prometheus export trivial.
+//
+// Rolling view (optional; Registry::window attaches it): a ring of
+// fixed-duration epochs, each holding the same Summary + bucket cell as
+// the lifetime view. An observation lands in the lifetime cell and in the
+// current epoch under one lock; snapshot() aggregates only the epochs
+// still inside the window, so old load ages out. A histogram without a
+// ring behaves as a window of one epoch that never expires. Epochs
+// advance in one of two modes:
+//   * timed (epoch_seconds > 0): the current epoch is derived from a
+//     steady clock, so a long-running daemon rolls automatically;
+//   * manual (epoch_seconds == 0): epochs advance only via advance() —
+//     deterministic by construction, which is what the sweep-shard
+//     determinism tests use.
+// advance() works in both modes (it shifts the epoch index on top of the
+// clock), so a test can force expiry without sleeping.
+//
+// Quantiles (approx_percentile, snapshot) interpolate linearly inside the
+// selected bucket and clamp to the observed [min, max]. With one bucket
+// per decade the error is bounded only by the bucket: an estimate lies in
+// the decade that holds the exact rank-ceil(q*n) sample, up to 10x off, so
+// it is a coarse summary column, not a value to assert or gate on.
+//
+// Thread-safety: one uncontended mutex per histogram guards both views;
+// the LP-HTA cluster workers, the sweep workers and the serve shard
+// solves write concurrently.
 class Histogram {
  public:
   // Upper bounds of the finite buckets; an implicit +Inf bucket follows.
@@ -69,48 +99,91 @@ class Histogram {
   // Cumulative counts per finite bucket (Prometheus `le` semantics);
   // summary().count() is the +Inf entry.
   std::vector<std::uint64_t> cumulative_buckets() const;
-  // Approximate quantile (q in [0,1]) from the bucket counts: linear
-  // interpolation inside the selected bucket, clamped to the observed
-  // min/max. NaN when empty. With one bucket per decade the error is
-  // bounded only by the bucket: the estimate can land anywhere in the
-  // decade that holds the true quantile, up to 10x off, so it is a coarse
-  // summary column, not a value to assert or gate on.
+  // Quantile (q in [0,1]) of the lifetime view; NaN when empty.
   double approx_percentile(double q) const;
-  // Folds another histogram's samples in: summaries merge via
-  // Summary::merge, buckets add element-wise (the shared static grid makes
-  // this exact). Safe against concurrent observers of either side.
+
+  struct Snapshot {
+    std::uint64_t count = 0;
+    double sum = 0.0;
+    double min = std::numeric_limits<double>::quiet_NaN();
+    double max = std::numeric_limits<double>::quiet_NaN();
+    double p50 = std::numeric_limits<double>::quiet_NaN();
+    double p90 = std::numeric_limits<double>::quiet_NaN();
+    double p95 = std::numeric_limits<double>::quiet_NaN();
+    double p99 = std::numeric_limits<double>::quiet_NaN();
+    // Events per second over the covered span; NaN in manual mode and
+    // without a ring (no wall-clock to divide by).
+    double rate_hz = std::numeric_limits<double>::quiet_NaN();
+    double span_seconds = 0.0;
+  };
+  // The rolling view: the live epochs of the ring, or the lifetime view
+  // when there is no ring.
+  Snapshot snapshot() const;
+  bool has_window() const;
+  // Rotates the ring forward by `epochs` epochs; no-op without a ring.
+  void advance(std::size_t epochs = 1);
+
+  // Folds another histogram's samples in: the lifetime views merge
+  // sample-exactly (the shared static grid makes bucket adds exact). When
+  // `other` has a ring, its live samples collapse into this histogram's
+  // current epoch (attaching a ring of the same shape first if needed);
+  // collapsing rather than aligning epochs keeps the merge commutative, so
+  // grid-order shard merges stay schedule-independent. Safe against
+  // concurrent observers of either side.
   void merge_from(const Histogram& other);
+  // Zeroes both views; an attached ring stays attached.
   void reset();
 
  private:
+  friend class Registry;
+
+  // One distribution: the lifetime view, or one epoch of the ring.
+  struct Cell {
+    Summary summary;
+    std::vector<std::uint64_t> buckets;  // per bucket; sized on first use
+
+    // `bucket` indexes `buckets`; past the end means the +Inf bucket only.
+    void add(double v, std::size_t bucket);
+    void merge(const Cell& other);
+    double quantile(double q) const;
+  };
+  struct Epoch {
+    bool live = false;
+    std::uint64_t index = 0;  // absolute epoch number
+    Cell cell;
+  };
+  struct Ring {
+    double epoch_seconds = 0.0;  // 0: manual mode
+    std::size_t num_epochs = 1;
+    std::uint64_t manual_offset = 0;
+    std::chrono::steady_clock::time_point start =
+        std::chrono::steady_clock::now();
+    std::vector<Epoch> epochs;
+
+    std::uint64_t current_index() const;
+    Epoch& current_epoch();
+    // Aggregate of the epochs inside the window ending now.
+    Cell live() const;
+    // Seconds of history the window covers: the full ring once warmed
+    // up, the elapsed time (floored at one epoch) before; 0 when manual.
+    double span_seconds() const;
+  };
+
+  // Attaches the rolling view on first call; later calls keep the ring
+  // they find. epoch_seconds == 0 selects manual mode.
+  void attach_window(double epoch_seconds, std::size_t num_epochs);
+
   mutable Mutex mu_;
-  Summary summary_ MECSCHED_GUARDED_BY(mu_);
-  // sized lazily on first observe
-  std::vector<std::uint64_t> buckets_ MECSCHED_GUARDED_BY(mu_);
+  Cell lifetime_ MECSCHED_GUARDED_BY(mu_);
+  std::optional<Ring> ring_ MECSCHED_GUARDED_BY(mu_);
 };
-
-// Shared quantile kernel for Histogram::approx_percentile and the
-// windowed primitives (obs/window.h): given cumulative per-finite-bucket
-// counts over Histogram::bucket_bounds() and the total observation count
-// (the +Inf entry), estimates the q-quantile by linear interpolation
-// inside the target bucket. The result is clamped to [min_clamp,
-// max_clamp] when those are non-NaN (pass the streaming min/max — it
-// tightens the log10 grid's coarse bucket edges to observed reality).
-// NaN when total_count is zero.
-double percentile_from_buckets(const std::vector<std::uint64_t>& cumulative,
-                               std::uint64_t total_count, double q,
-                               double min_clamp, double max_clamp);
-
-class WindowedHistogram;
-class RateWindow;
 
 class Registry {
  public:
   // The process-wide instance all instrumentation reports into.
   static Registry& global();
 
-  Registry();
-  ~Registry();
+  Registry() = default;
   Registry(const Registry&) = delete;
   Registry& operator=(const Registry&) = delete;
 
@@ -121,56 +194,45 @@ class Registry {
   Counter& counter(const std::string& name);
   Gauge& gauge(const std::string& name);
   Histogram& histogram(const std::string& name);
-
-  // Rolling-window companions (obs/window.h), registered in their own
-  // namespace: a window deliberately MAY share its base name with a
-  // counter/gauge/histogram — `exec.sweep.cell_seconds` keeps both the
-  // process-lifetime histogram and the rolling view, and exporters render
-  // the window as the `<name>.window.*` family. A name still registers as
-  // exactly one of window/rate. Defaults: 60 one-second epochs; pass
-  // epoch_seconds == 0 on first use for a manual-advance window.
-  WindowedHistogram& window(const std::string& name,
-                            double epoch_seconds = 1.0,
-                            std::size_t num_epochs = 60);
-  RateWindow& rate(const std::string& name, double epoch_seconds = 1.0,
-                   std::size_t num_epochs = 60);
+  // The same object as histogram(name), with the rolling view attached on
+  // the first call (later calls keep the first ring). Exporters render the
+  // rolling view as the `<name>.window.*` family. Defaults: 60 one-second
+  // epochs; epoch_seconds == 0 selects a manual-advance window.
+  Histogram& window(const std::string& name, double epoch_seconds = 1.0,
+                    std::size_t num_epochs = 60);
 
   // Zeroes every metric in place. Entries (and references to them) remain
   // valid — callers caching references across reset() keep working.
   void reset();
 
   // Folds another registry's values into this one: counters add,
-  // histograms merge sample-exactly, gauges take the other's value (last
-  // merge wins — merge shards in a deterministic order when gauge values
-  // matter), windows/rates collapse the other side's live samples into
-  // the receiver's current epoch (commutative, so grid-order shard merges
-  // stay schedule-independent). This is how the sweep runner reduces
-  // per-cell metric shards into the global registry after a parallel
-  // join.
+  // histograms merge (see Histogram::merge_from), gauges take the other's
+  // value (last merge wins — merge shards in a deterministic order when
+  // gauge values matter). This is how the sweep runner reduces per-cell
+  // metric shards into the global registry after a parallel join.
   void merge_from(const Registry& other);
 
   // Stable-ordered snapshots for the exporters.
   std::vector<std::pair<std::string, std::uint64_t>> counters() const;
   std::vector<std::pair<std::string, double>> gauges() const;
   std::vector<std::pair<std::string, const Histogram*>> histograms() const;
-  std::vector<std::pair<std::string, const WindowedHistogram*>> windows()
-      const;
-  std::vector<std::pair<std::string, const RateWindow*>> rates() const;
+  // The histograms that carry a ring.
+  std::vector<std::pair<std::string, const Histogram*>> windows() const;
 
  private:
-  // mu_ guards the name→entry maps only; the metric objects themselves
+  using Entry = std::variant<std::unique_ptr<Counter>, std::unique_ptr<Gauge>,
+                             std::unique_ptr<Histogram>>;
+
+  template <typename T>
+  T& find_or_create(const std::string& name) MECSCHED_EXCLUDES(mu_);
+  template <typename T>
+  std::vector<std::pair<std::string, const T*>> entries() const
+      MECSCHED_EXCLUDES(mu_);
+
+  // mu_ guards the name→entry map only; the metric objects themselves
   // are thread-safe and are handed out as long-lived references.
   mutable Mutex mu_;
-  std::map<std::string, std::unique_ptr<Counter>> counters_
-      MECSCHED_GUARDED_BY(mu_);
-  std::map<std::string, std::unique_ptr<Gauge>> gauges_
-      MECSCHED_GUARDED_BY(mu_);
-  std::map<std::string, std::unique_ptr<Histogram>> histograms_
-      MECSCHED_GUARDED_BY(mu_);
-  std::map<std::string, std::unique_ptr<WindowedHistogram>> windows_
-      MECSCHED_GUARDED_BY(mu_);
-  std::map<std::string, std::unique_ptr<RateWindow>> rates_
-      MECSCHED_GUARDED_BY(mu_);
+  std::map<std::string, Entry> metrics_ MECSCHED_GUARDED_BY(mu_);
 };
 
 }  // namespace mecsched::obs

@@ -71,7 +71,7 @@ TEST(SweepRunnerTest, ShardMetricsMergeIntoTheGlobalRegistry) {
                 .summary()
                 .count(),
             10u);
-  // And its rolling-window shadow (the *.window.* family).
+  // And its rolling view (the *.window.* family) of the same histogram.
   EXPECT_EQ(obs::Registry::global()
                 .window("exec.sweep.cell_seconds")
                 .snapshot()

@@ -40,7 +40,7 @@ import sys
 
 SCHEMA = "mecsched.bench.v1"
 REQUIRED_KEYS = ("schema", "bench", "wall_seconds", "values", "flags",
-                 "counters", "windows", "rates")
+                 "counters", "windows")
 
 
 def lookup(doc, dotted):
@@ -64,7 +64,7 @@ def validate_schema(result):
     for key in REQUIRED_KEYS:
         if key not in result:
             problems.append(f"missing required key {key!r}")
-    for key in ("values", "flags", "counters", "windows", "rates"):
+    for key in ("values", "flags", "counters", "windows"):
         if key in result and not isinstance(result[key], dict):
             problems.append(f"{key!r} is not an object")
     return problems
@@ -127,7 +127,6 @@ def self_test():
         "flags": {"identical": True},
         "counters": {"solves": 4},
         "windows": {},
-        "rates": {},
     }
     cases = [
         ({"metric": "values.speedup", "type": "min", "limit": 5.0}, True),
@@ -154,6 +153,11 @@ def self_test():
             ok = False
     if validate_schema(doc):
         print("self-test FAIL: valid doc rejected")
+        ok = False
+    # Extra keys stay accepted: older files with a "rates" section validate.
+    legacy = dict(doc, rates={"lp.solves": {"count": 2, "rate_hz": 1.0}})
+    if validate_schema(legacy):
+        print("self-test FAIL: legacy doc with extra keys rejected")
         ok = False
     bad = dict(doc, schema="nope")
     del bad["windows"]

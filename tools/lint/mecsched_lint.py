@@ -58,6 +58,16 @@ Rules (each with a stable id used in messages and waivers):
                           or on the Matrix declaration to cover every
                           access of that identifier.
 
+  registry-lookup-in-loop A metric lookup — `.counter(`, `.gauge(`,
+                          `.histogram(` or `.window(` — on a line inside a
+                          for/while loop. Each lookup takes the registry
+                          mutex and searches a std::map by string; resolve
+                          the handle once before the loop (handles survive
+                          Registry::reset()). A function-local `static`
+                          handle initializes once and is exempt. Waive a
+                          lookup whose name varies per iteration or that
+                          targets a per-iteration registry.
+
   stale-waiver            A waiver comment whose rule no longer fires on
                           the line it covers. Stale waivers hide future
                           regressions of the same rule; delete them when
@@ -134,6 +144,7 @@ RULES = {
     "float-in-model",
     "todo-tag",
     "dense-scan-in-kernel",
+    "registry-lookup-in-loop",
     "stale-waiver",
 }
 
@@ -410,6 +421,9 @@ RE_RAW_SYNC = re.compile(
     r"shared_mutex|timed_mutex|mutex|condition_variable_any|"
     r"condition_variable|lock_guard|unique_lock|scoped_lock)\b")
 RE_DETACH = re.compile(r"\.\s*detach\s*\(\s*\)")
+RE_REGISTRY_LOOKUP = re.compile(
+    r"(?:\.|->)\s*(?:counter|gauge|histogram|window)\s*\(")
+RE_STATIC_DECL = re.compile(r"\s*static\b")
 
 MSG_RNG_RAND = ("std::rand/srand/random_device: use common/rng so runs "
                 "are reproducible from --seed")
@@ -506,6 +520,25 @@ def regex_core_rules(fl: FileLint) -> None:
                               "CSR/CSC arrays (lp/sparse_matrix.h) or add a "
                               "deliberate waiver",
                               alt_sites=(decl,))
+
+    # Registry lookups repeated per loop iteration. The enclosing statement
+    # (back to the previous ; { or }) decides the static exemption, so a
+    # static handle declared over two lines is still recognized.
+    mask = sf.loop_mask
+    text = sf.code_joined
+    reported: set[int] = set()
+    for m in RE_REGISTRY_LOOKUP.finditer(text):
+        idx = text.count("\n", 0, m.start())  # 0-based line
+        if not mask[idx] or idx in reported:
+            continue
+        stmt = max(text.rfind(c, 0, m.start()) for c in ";{}") + 1
+        if RE_STATIC_DECL.match(text, stmt):
+            continue
+        reported.add(idx)
+        fl.report(idx + 1, "registry-lookup-in-loop",
+                  "registry lookup inside a loop: each call takes the "
+                  "registry mutex and a map search; resolve the handle once "
+                  "before the loop (handles survive Registry::reset())")
 
     # TODO tagging is checked on raw lines: TODOs live in comments. Waiver
     # lines are skipped wholesale — their reason text is not a TODO.
@@ -799,6 +832,13 @@ SELF_TEST_CASES = [
      "while (running) {\n"
      "  acc += mmat(i, j) * d[j];\n"
      "}\n"),
+    ("registry-lookup-in-loop", "src/exec/x.cpp",
+     "for (const Task& t : tasks_) {\n"
+     "  run(t);\n"
+     "  obs::Registry::global().counter(\"exec.tasks\").add();\n"
+     "}\n"),
+    ("registry-lookup-in-loop", "src/lp/x.cpp",
+     "while (iter < max_iter) reg.gauge(\"lp.gap\").set(gap);\n"),
     # A waiver whose rule never fires is itself a finding.
     ("stale-waiver", "src/obs/x.cpp",
      "// lint:allow-naked-new -- the new went away in a refactor.\n"
@@ -865,6 +905,26 @@ SELF_TEST_CLEAN = [
     ("src/lp/simplex.cpp",
      "Matrix a_;\n"
      "double v = a_(0, 1);\n"),
+    # registry-lookup-in-loop: a handle hoisted above the loop is quiet.
+    ("src/exec/x.cpp",
+     "obs::Counter& tasks = obs::Registry::global().counter(\"exec.tasks\");\n"
+     "for (const Task& t : tasks_) {\n"
+     "  run(t);\n"
+     "  tasks.add();\n"
+     "}\n"),
+    # registry-lookup-in-loop: a function-local static resolves once.
+    ("src/exec/x.cpp",
+     "while (running) {\n"
+     "  static obs::Counter& steals =\n"
+     "      obs::Registry::global().counter(\"exec.steals\");\n"
+     "  steals.add();\n"
+     "}\n"),
+    # registry-lookup-in-loop: a per-iteration name may be waived.
+    ("src/control/x.cpp",
+     "for (std::size_t r = 0; r < n; ++r) {\n"
+     "  // lint:allow-registry-lookup-in-loop -- name varies per rung.\n"
+     "  reg.counter(\"fallback.served.\" + name(r)).add();\n"
+     "}\n"),
     # dense-scan-in-kernel: only the hot kernel files are watched.
     ("src/lp/cholesky.cpp",
      "Matrix m_;\n"
