@@ -6,7 +6,7 @@
 #include <iostream>
 
 #include "bench/bench_common.h"
-#include "bench/holistic_sweep.h"
+#include "cli/sweep_grids.h"
 
 int main() {
   const mecsched::bench::ObsSession obs_session("fig4b_latency_vs_datasize");
@@ -15,25 +15,8 @@ int main() {
                       "input 1000..5000 kB, 100 tasks, 50 devices, "
                       "5 stations, 3 seeds/cell");
 
-  const auto algorithms = bench::standard_algorithms();
-  metrics::SeriesCollector series("max input (kB)",
-                                  bench::algorithm_names(algorithms));
-  std::vector<double> xs;
-  for (double kb = 1000; kb <= 5000; kb += 1000) xs.push_back(kb);
-
-  bench::run_holistic_sweep(
-      xs,
-      [](double x, std::uint64_t seed) {
-        workload::ScenarioConfig cfg;
-        cfg.num_devices = bench::kDevices;
-        cfg.num_base_stations = bench::kStations;
-        cfg.num_tasks = 100;
-        cfg.max_input_kb = x;
-        cfg.seed = seed * 1000 + static_cast<std::uint64_t>(x);
-        return cfg;
-      },
-      algorithms,
-      [](const assign::Metrics& m) { return m.mean_latency_s; }, series);
+  const metrics::SeriesCollector series = cli::run_grid(
+      *cli::find_sweep_grid("fig4b"), bench::kRepetitions);
 
   std::cout << "average latency (s):\n";
   bench::print_table(series, 3);

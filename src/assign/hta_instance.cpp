@@ -1,6 +1,7 @@
 #include "assign/hta_instance.h"
 
 #include "common/error.h"
+#include "common/hash.h"
 
 namespace mecsched::assign {
 
@@ -39,6 +40,31 @@ bool HtaInstance::schedulable(std::size_t t) const {
     if (meets_deadline(t, p)) return true;
   }
   return false;
+}
+
+std::uint64_t fingerprint(const HtaInstance& instance) {
+  const mec::Topology& topo = instance.topology();
+  std::uint64_t h = hash_mix(topo.num_devices(), topo.num_base_stations());
+  for (std::size_t d = 0; d < topo.num_devices(); ++d) {
+    const mec::Device& dev = topo.device(d);
+    h = hash_mix(h, dev.base_station);
+    h = hash_double(h, dev.max_resource);
+  }
+  for (std::size_t b = 0; b < topo.num_base_stations(); ++b) {
+    h = hash_double(h, topo.base_station(b).max_resource);
+  }
+  h = hash_mix(h, instance.num_tasks());
+  for (std::size_t t = 0; t < instance.num_tasks(); ++t) {
+    const mec::Task& task = instance.task(t);
+    h = hash_mix(h, task.id.user);
+    h = hash_double(h, task.resource);
+    h = hash_double(h, task.deadline_s);
+    for (const mec::Placement p : mec::kAllPlacements) {
+      h = hash_double(h, instance.latency(t, p));
+      h = hash_double(h, instance.energy(t, p));
+    }
+  }
+  return h;
 }
 
 }  // namespace mecsched::assign

@@ -4,6 +4,7 @@
 // "each cluster can be considered separately").
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "mec/cost_model.h"
@@ -48,5 +49,11 @@ class HtaInstance {
   std::vector<mec::TaskCosts> costs_;
   std::vector<std::vector<std::size_t>> tasks_by_cluster_;
 };
+
+// 64-bit digest of everything the assigners read: per-placement latencies
+// and energies, deadlines, resource demands, cluster membership and the
+// device/station capacities. Equal digests mean solver-indistinguishable
+// instances (the chaos drill digests each cell's instance and plan).
+std::uint64_t fingerprint(const HtaInstance& instance);
 
 }  // namespace mecsched::assign

@@ -47,8 +47,8 @@ struct LpHtaOptions {
   // LP-HTA in a control::FallbackChain.
   std::size_t max_lp_iterations = 0;
   // Optional warm-start hint: a previously computed assignment for a
-  // *similar* instance (e.g. the adjacent sweep cell, via
-  // exec::InstanceCache). Each cluster LP starts from the hinted 0/1 point
+  // *similar* instance (serve passes each shard's plan of the previous
+  // epoch). Each cluster LP starts from the hinted 0/1 point
   // instead of the all-artificial basis, typically cutting phase-1 pivots.
   // Objective-preserving (the LP optimum is unchanged) but pivot-path-
   // sensitive; only consulted on the plain simplex path (engine ==

@@ -29,14 +29,13 @@
 #include "cli/sweep_grids.h"
 #include "common/deadline.h"
 #include "common/error.h"
+#include "common/hash.h"
 #include "common/table.h"
 #include "control/fallback.h"
 #include "dta/pipeline.h"
-#include "exec/instance_cache.h"
 #include "exec/sweep_runner.h"
 #include "exec/thread_pool.h"
 #include "io/codec.h"
-#include "lp/sparse_cholesky.h"
 #include "mec/cost_breakdown.h"
 #include "io/shared_codec.h"
 #include "io/trace_codec.h"
@@ -257,8 +256,7 @@ std::string usage() {
       "  dta       --scenario shared.json [--strategy workload|workload-bytes"
       "|number]\n"
       "            [--scheduler lp-hta|greedy] [--out result.json]\n"
-      "  sweep     [--grid fig2a|fig2b|fig4a|fig4b|smoke] [--reps N]\n"
-      "            [--seed S] [--cache-capacity N] [--warm-start]\n"
+      "  sweep     [--grid fig2a|fig2b|fig3|fig4a|fig4b|smoke] [--reps N]\n"
       "            [--csv] [--out series.csv] [--list]\n"
       "  chaos     [--cells N] [--tasks N] [--devices N] [--stations N]\n"
       "            [--seed S] [--stall-prob P] [--nan-prob P]\n"
@@ -699,8 +697,7 @@ int cmd_churn(const std::vector<std::string>& tokens, std::ostream& out) {
 }
 
 int cmd_sweep(const std::vector<std::string>& tokens, std::ostream& out) {
-  ArgParser args({"grid", "reps", "seed", "cache-capacity", "out"},
-                 {"warm-start", "csv", "list"});
+  ArgParser args({"grid", "reps", "out"}, {"csv", "list"});
   args.parse(tokens);
 
   if (args.get_switch("list")) {
@@ -720,73 +717,7 @@ int cmd_sweep(const std::vector<std::string>& tokens, std::ostream& out) {
   const std::size_t reps = args.get_count("reps", 3);
   MECSCHED_REQUIRE(reps > 0, "--reps must be positive");
 
-  exec::InstanceCache cache(args.get_count("cache-capacity", 128));
-  // The LP layer keeps its own pattern-keyed cache of symbolic Cholesky
-  // analyses (lp/sparse_cholesky.h); size it alongside the plan cache so
-  // every distinct constraint shape in the sweep keeps its ordering warm.
-  lp::SymbolicFactorCache::global().set_capacity(
-      args.get_count("cache-capacity", 128));
-  exec::SweepOptions sweep_opts;
-  sweep_opts.master_seed = args.get_count("seed", 1);
-  sweep_opts.cache = &cache;
-  sweep_opts.warm_start = args.get_switch("warm-start");
-
-  std::vector<std::unique_ptr<assign::Assigner>> algorithms;
-  algorithms.push_back(std::make_unique<assign::LpHta>());
-  algorithms.push_back(std::make_unique<assign::Hgos>());
-  algorithms.push_back(std::make_unique<assign::AllToCloud>());
-  algorithms.push_back(std::make_unique<assign::AllOffload>());
-  std::vector<std::string> names;
-  names.reserve(algorithms.size());
-  for (const auto& a : algorithms) names.push_back(a->name());
-
-  // One cell per (x, repetition); each runs every algorithm on the cell's
-  // scenario. Exact cache hits replace a solve with the identical stored
-  // plan; with --warm-start, LP-HTA additionally seeds its simplex from
-  // the most recent LP-HTA plan (objective-preserving, pivot-path-
-  // sensitive — see docs/parallelism.md).
-  metrics::SeriesCollector series(grid->x_label, names);
-  using CellResult = std::vector<std::pair<std::string, double>>;
-  exec::SweepRunner runner(sweep_opts);
-  const std::vector<CellResult> results = runner.run<CellResult>(
-      grid->xs.size() * reps, [&](exec::CellContext& ctx) {
-        const double x = grid->xs[ctx.index() / reps];
-        const std::uint64_t rep = ctx.index() % reps + 1;
-        const workload::Scenario scenario =
-            workload::make_scenario(grid->config_at(x, rep));
-        const assign::HtaInstance instance(scenario.topology, scenario.tasks);
-        const std::uint64_t fp = exec::fingerprint(instance);
-        CellResult cell;
-        cell.reserve(algorithms.size());
-        for (const auto& algorithm : algorithms) {
-          const std::string name = algorithm->name();
-          const std::uint64_t key = exec::mix(fp, exec::hash_string(name));
-          assign::Assignment plan;
-          if (const auto hit = ctx.cache()->find(key)) {
-            plan = *hit;
-          } else {
-            if (ctx.warm_start() && name == "LP-HTA") {
-              const std::uint64_t family = exec::hash_string(name);
-              const auto hint = ctx.cache()->warm_hint(family);
-              assign::LpHtaOptions lp_opts;
-              lp_opts.warm_hint = hint.get();
-              plan = assign::LpHta(lp_opts).assign(instance);
-              ctx.cache()->store_warm(
-                  family, std::make_shared<const assign::Assignment>(plan));
-            } else {
-              plan = algorithm->assign(instance);
-            }
-            ctx.cache()->insert(key, plan);
-          }
-          cell.emplace_back(name,
-                            grid->metric(assign::evaluate(instance, plan)));
-        }
-        return cell;
-      });
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const double x = grid->xs[i / reps];
-    for (const auto& [name, value] : results[i]) series.add(x, name, value);
-  }
+  const metrics::SeriesCollector series = run_grid(*grid, reps);
 
   const std::string out_path = args.get("out", "");
   if (!out_path.empty()) {
@@ -797,12 +728,9 @@ int cmd_sweep(const std::vector<std::string>& tokens, std::ostream& out) {
     // --jobs count (asserted in commands_test.cpp and CI).
     series.write_csv(out);
   } else {
-    out << grid->metric_label << " (" << grid->name << ", jobs="
-        << runner.jobs() << "):\n"
+    out << grid->metric_label << " (" << grid->name
+        << ", jobs=" << exec::ThreadPool::default_jobs() << "):\n"
         << series.to_table(3);
-    const exec::CacheStats cs = cache.stats();
-    out << "cache: " << cs.hits << " hits, " << cs.misses << " misses, "
-        << cs.evictions << " evictions\n";
   }
   return 0;
 }
@@ -852,9 +780,9 @@ int cmd_chaos(const std::vector<std::string>& tokens, std::ostream& out) {
         control::FallbackRung rung = control::FallbackRung::kLpHta;
         const assign::Assignment plan =
             chain.assign(instance, rung, ctx.cancel());
-        std::uint64_t digest = exec::fingerprint(instance);
+        std::uint64_t digest = assign::fingerprint(instance);
         for (const assign::Decision d : plan.decisions) {
-          digest = exec::mix(digest, static_cast<std::uint64_t>(d) + 1);
+          digest = hash_mix(digest, static_cast<std::uint64_t>(d) + 1);
         }
         return CellOutcome{static_cast<std::size_t>(rung), digest,
                            assign::evaluate(instance, plan).total_energy_j};

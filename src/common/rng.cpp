@@ -4,6 +4,7 @@
 #include <numeric>
 
 #include "common/error.h"
+#include "common/hash.h"
 
 namespace mecsched {
 
@@ -75,16 +76,6 @@ std::vector<std::size_t> Rng::sample_without_replacement(std::size_t n,
   std::sort(out.begin(), out.end());
   return out;
 }
-
-namespace {
-// SplitMix64 finalizer; decorrelates child seeds from (seed, stream).
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-}  // namespace
 
 Rng Rng::fork(std::uint64_t stream) const {
   return Rng(splitmix64(seed_ ^ splitmix64(stream + 1)));

@@ -120,11 +120,13 @@ ScopedTimer::ScopedTimer(std::string name, std::string category,
     : name_(std::move(name)),
       category_(std::move(category)),
       args_json_(std::move(args_json)),
-      start_(std::chrono::steady_clock::now()) {
-  histogram_ = &Registry::global().histogram(name_ + ".seconds");
+      histogram_(&Registry::global().histogram(name_ + ".seconds")) {
+  // The clock starts after the histogram lookup and the tracer check, so
+  // a span times its body, not its own setup.
   Tracer& t = Tracer::global();
   traced_ = t.enabled();
   if (traced_) start_us_ = t.now_us();
+  start_ = std::chrono::steady_clock::now();
 }
 
 ScopedTimer::~ScopedTimer() {

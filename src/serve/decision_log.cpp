@@ -2,7 +2,7 @@
 
 #include <cstdio>
 
-#include "exec/instance_cache.h"
+#include "common/hash.h"
 
 namespace mecsched::serve {
 namespace {
@@ -50,18 +50,18 @@ void DecisionLog::write_csv(std::ostream& out) const {
 }
 
 std::uint64_t DecisionLog::digest() const {
-  std::uint64_t h = exec::hash_string("mecsched.serve.decision_log");
+  std::uint64_t h = hash_string("mecsched.serve.decision_log");
   for (const DecisionRecord& r : records_) {
-    h = exec::mix(h, r.epoch);
-    h = exec::mix(h, exec::hash_string(fmt(r.time_s)));
-    h = exec::mix(h, r.task.user);
-    h = exec::mix(h, r.task.index);
-    h = exec::mix(h, static_cast<std::uint64_t>(r.kind));
-    h = exec::mix(h, r.shard);
-    h = exec::mix(h, static_cast<std::uint64_t>(r.decision));
-    h = exec::mix(h, r.attempt);
-    h = exec::mix(h, exec::hash_string(fmt(r.latency_s)));
-    h = exec::mix(h, exec::hash_string(fmt(r.energy_j)));
+    h = hash_mix(h, r.epoch);
+    h = hash_mix(h, hash_string(fmt(r.time_s)));
+    h = hash_mix(h, r.task.user);
+    h = hash_mix(h, r.task.index);
+    h = hash_mix(h, static_cast<std::uint64_t>(r.kind));
+    h = hash_mix(h, r.shard);
+    h = hash_mix(h, static_cast<std::uint64_t>(r.decision));
+    h = hash_mix(h, r.attempt);
+    h = hash_mix(h, hash_string(fmt(r.latency_s)));
+    h = hash_mix(h, hash_string(fmt(r.energy_j)));
   }
   return h;
 }

@@ -6,20 +6,12 @@
 #include <tuple>
 
 #include "common/error.h"
+#include "common/hash.h"
 #include "obs/registry.h"
 
 namespace mecsched::sim {
 
 namespace {
-
-// splitmix64: the standard 64-bit finalizer-style mixer. Deterministic and
-// platform-independent, which is all the fault draw needs.
-std::uint64_t mix64(std::uint64_t z) {
-  z += 0x9e3779b97f4a7c15ull;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
 
 std::uint64_t hash_cstr(const char* s) {
   std::uint64_t h = 1469598103934665603ull;  // FNV-1a
@@ -95,11 +87,13 @@ chaos::Action SolverChaos::probe(const char* engine, std::size_t rows,
     // Pure hash of (seed, site): no global counters, no clocks — the same
     // solve faults identically whatever thread runs it.
     const std::uint64_t h =
-        mix64(config_.seed ^ hash_cstr(engine) ^
-              mix64(static_cast<std::uint64_t>(rows) * 0x9e3779b97f4a7c15ull) ^
-              mix64(static_cast<std::uint64_t>(cols) * 0xc2b2ae3d27d4eb4full) ^
-              mix64(static_cast<std::uint64_t>(iteration) *
-                    0x165667b19e3779f9ull));
+        splitmix64(config_.seed ^ hash_cstr(engine) ^
+                   splitmix64(static_cast<std::uint64_t>(rows) *
+                              0x9e3779b97f4a7c15ull) ^
+                   splitmix64(static_cast<std::uint64_t>(cols) *
+                              0xc2b2ae3d27d4eb4full) ^
+                   splitmix64(static_cast<std::uint64_t>(iteration) *
+                              0x165667b19e3779f9ull));
     const double u =
         static_cast<double>(h >> 11) * (1.0 / 9007199254740992.0);  // [0,1)
     double edge = config_.stall_prob;

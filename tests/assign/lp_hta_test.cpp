@@ -159,7 +159,7 @@ TEST(LpHtaTest, EmptyInstance) {
 
 // Warm hints feed the cluster LPs a crash basis; the LP optimum — and so
 // the Theorem-2 diagnostics built on it — must not move. This is the
-// warm-start-equals-cold-start guarantee the sweep cache relies on.
+// warm-start-equals-cold-start guarantee serve's per-shard hints rely on.
 TEST(LpHtaTest, WarmHintPreservesTheLpObjective) {
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     const auto s = small_scenario(seed, 40, 12, 3);

@@ -403,7 +403,8 @@ TEST_F(CliTest, ExactAlgorithmOnTinyScenario) {
 
 TEST_F(CliTest, SweepListsGrids) {
   ASSERT_EQ(run_cli({"sweep", "--list"}), 0) << err_.str();
-  for (const char* grid : {"fig2a", "fig2b", "fig4a", "fig4b", "smoke"}) {
+  for (const char* grid :
+       {"fig2a", "fig2b", "fig3", "fig4a", "fig4b", "smoke"}) {
     EXPECT_NE(out_.str().find(grid), std::string::npos) << grid;
   }
 }
@@ -414,7 +415,7 @@ TEST_F(CliTest, SweepRejectsUnknownGrid) {
 }
 
 // The headline determinism guarantee: the sweep CSV is byte-identical at
-// every --jobs count (and with the warm-start cache path enabled).
+// every --jobs count.
 TEST_F(CliTest, SweepCsvIsByteIdenticalAcrossJobCounts) {
   ASSERT_EQ(run_cli({"sweep", "--grid", "smoke", "--csv", "--jobs", "1"}), 0)
       << err_.str();
@@ -425,21 +426,14 @@ TEST_F(CliTest, SweepCsvIsByteIdenticalAcrossJobCounts) {
   ASSERT_EQ(run_cli({"sweep", "--grid", "smoke", "--csv", "--jobs", "8"}), 0)
       << err_.str();
   EXPECT_EQ(out_.str(), serial);
-
-  ASSERT_EQ(run_cli({"sweep", "--grid", "smoke", "--csv", "--jobs", "8",
-                     "--warm-start"}),
-            0)
-      << err_.str();
-  EXPECT_EQ(out_.str(), serial);
 }
 
-TEST_F(CliTest, SweepTableReportsCacheAndJobs) {
+TEST_F(CliTest, SweepTableReportsJobs) {
   ASSERT_EQ(run_cli({"sweep", "--grid", "smoke", "--reps", "1", "--jobs",
                      "2"}),
             0)
       << err_.str();
   EXPECT_NE(out_.str().find("jobs=2"), std::string::npos);
-  EXPECT_NE(out_.str().find("cache:"), std::string::npos);
 }
 
 TEST_F(CliTest, SweepWritesCsvFile) {

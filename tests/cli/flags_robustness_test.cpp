@@ -1,7 +1,7 @@
 // Hardened numeric-flag parsing (satellite of the budget pipeline):
-// negative, NaN and overflowing values for --jobs, --reps,
-// --cache-capacity and the global --budget-ms must fail with a clear
-// message naming the flag — never wrap, clamp or silently truncate — and
+// negative, NaN and overflowing values for --jobs, --reps and the global
+// --budget-ms must fail with a clear message naming the flag — never
+// wrap, clamp or silently truncate — and
 // the valid forms must still work, including the budgeted chaos drill.
 #include "cli/commands.h"
 
@@ -54,13 +54,6 @@ TEST_F(FlagsTest, RepsRejectsNegativeAndOverflow) {
       "--reps");
   // Zero parses as a count but is semantically rejected.
   expect_rejected({"sweep", "--grid", "smoke", "--reps", "0"}, "--reps");
-}
-
-TEST_F(FlagsTest, CacheCapacityRejectsNegativeValues) {
-  expect_rejected({"sweep", "--grid", "smoke", "--cache-capacity", "-5"},
-                  "--cache-capacity");
-  expect_rejected({"sweep", "--grid", "smoke", "--cache-capacity", "nan"},
-                  "--cache-capacity");
 }
 
 TEST_F(FlagsTest, CountFlagsRejectNegativesEverywhere) {

@@ -878,7 +878,7 @@ SELF_TEST_CLEAN = [
     ("src/mec/x.cpp", "std::map<std::uint64_t, Station*> by_id;\n"),
     # A determinism-rule waiver is not judged stale in regex mode: the
     # container may be declared in another file, where only the AST pass
-    # can see it (e.g. exec/instance_cache.cpp's members).
+    # can see it (e.g. a .cpp iterating a member declared in its header).
     ("src/exec/x.cpp",
      "// lint:allow-unordered-iteration -- keys sorted; member declared in "
      "the header.\n"
