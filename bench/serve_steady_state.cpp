@@ -9,10 +9,18 @@
 // daemon's CI determinism diff checks), so the only machine-dependent
 // numbers are the wall-clock-derived ones, which the baseline floors
 // conservatively.
+//
+// A second arm holds the churn fixed (4000 joins, leaves and migrates per
+// second each) and grows the running set 4x through the arrival rate. The
+// ingest time churn adds per churn event (the serve.ingest span, less the
+// same arrivals' ingest without churn) must stay flat: churn visits only
+// the tasks it interrupts, so the 4x/1x ratio is gated at 1.5.
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstddef>
 #include <iostream>
+#include <limits>
 
 #include "bench_common.h"
 #include "obs/registry.h"
@@ -29,9 +37,60 @@ constexpr std::size_t kEpochs = 4;
 constexpr double kEpochSeconds = 0.5;
 constexpr double kArrivalRatePerS = 24000.0;  // ~12k tasks per epoch
 
+constexpr std::size_t kScalingEpochs = 16;
+constexpr double kChurnRatePerS = 4000.0;  // each of join/leave/migrate
+constexpr double kScalingArrivalsPerS = 1500.0;
+constexpr std::size_t kScalingReps = 3;
+
 double seconds_between(std::chrono::steady_clock::time_point t0,
                        std::chrono::steady_clock::time_point t1) {
   return std::chrono::duration<double>(t1 - t0).count();
+}
+
+workload::ServeWorkload scaling_workload(double arrival_rate_per_s,
+                                         double churn_rate_per_s) {
+  workload::ServeTraceConfig cfg;
+  cfg.scenario.num_devices = kCityDevices;
+  cfg.scenario.num_base_stations = kCityStations;
+  cfg.scenario.seed = 2;
+  cfg.epochs = kScalingEpochs;
+  cfg.epoch_s = kEpochSeconds;
+  cfg.arrival_rate_per_s = arrival_rate_per_s;
+  cfg.join_rate_per_s = churn_rate_per_s;
+  cfg.leave_rate_per_s = churn_rate_per_s;
+  cfg.migrate_rate_per_s = churn_rate_per_s;
+  return workload::make_serve_workload(cfg);
+}
+
+// Wall seconds one daemon run spends in ingest, read off the serve.ingest
+// span histogram.
+double ingest_seconds(const workload::ServeWorkload& w,
+                      const serve::ServeOptions& opts) {
+  const obs::Histogram& ingest =
+      obs::Registry::global().histogram("serve.ingest.seconds");
+  const double before_s = ingest.summary().sum();
+  serve::ServeDaemon(opts).run(w.universe, w.trace);
+  return ingest.summary().sum() - before_s;
+}
+
+// Ingest time the churn adds, per churn event, in microseconds: the
+// churned trace against the same arrivals without churn (the generator
+// draws each event kind from its own stream, so the arrivals match). Best
+// of kScalingReps runs each, so a busy host inflates neither side alone.
+double churn_ingest_us_per_event(double arrival_rate_per_s,
+                                 const serve::ServeOptions& opts) {
+  const workload::ServeWorkload churned =
+      scaling_workload(arrival_rate_per_s, kChurnRatePerS);
+  const workload::ServeWorkload calm =
+      scaling_workload(arrival_rate_per_s, 0.0);
+  double churned_s = std::numeric_limits<double>::infinity();
+  double calm_s = std::numeric_limits<double>::infinity();
+  for (std::size_t rep = 0; rep < kScalingReps; ++rep) {
+    churned_s = std::min(churned_s, ingest_seconds(churned, opts));
+    calm_s = std::min(calm_s, ingest_seconds(calm, opts));
+  }
+  return (churned_s - calm_s) * 1e6 /
+         static_cast<double>(churned.trace.churn_events());
 }
 
 }  // namespace
@@ -105,6 +164,18 @@ int main() {
   telemetry.set_value("admit_to_decision_p99_ms", admit.p99);
   telemetry.set_value("epoch_solve_p50_ms", solve.p50);
   telemetry.set_value("epoch_solve_p99_ms", solve.p99);
+  // Churn-scaling arm.
+  const double light_us = churn_ingest_us_per_event(kScalingArrivalsPerS, opts);
+  const double heavy_us =
+      churn_ingest_us_per_event(4.0 * kScalingArrivalsPerS, opts);
+  const double ingest_scaling = heavy_us / light_us;
+  std::cout << "churn ingest us/ev:  " << light_us << " at "
+            << kScalingArrivalsPerS << " arrivals/s, " << heavy_us << " at "
+            << 4.0 * kScalingArrivalsPerS << " (x" << ingest_scaling << ")\n";
+  telemetry.set_value("churn_ingest_us_per_event_1x", light_us);
+  telemetry.set_value("churn_ingest_us_per_event_4x", heavy_us);
+  telemetry.set_value("churn_ingest_scaling_4x", ingest_scaling);
+
   const bool conserved =
       r.arrivals == r.admitted + r.rejected &&
       r.admitted ==
@@ -125,5 +196,7 @@ int main() {
                "admission-to-decision p99 observed via serve.* windows");
   check.expect(solve.count > 0 && std::isfinite(solve.p99),
                "epoch solve-time p99 observed via serve.* windows");
+  check.expect(std::isfinite(ingest_scaling) && ingest_scaling > 0.0,
+               "churn ingest cost measured at both arrival rates");
   return check.exit_code();
 }

@@ -112,6 +112,48 @@ std::optional<dta::DtaResult> rescue(const mec::Topology& universe,
   return r;
 }
 
+// The daemon's record of one arrival; its id is the arrival ordinal. The
+// trace owns the task, so a record is two words however many arrivals a
+// run admits.
+struct Arrival {
+  const Event* event = nullptr;  // the trace's kTaskArrival
+  std::size_t attempts = 0;      // admissions consumed so far
+
+  const mec::Task& task() const { return event->task; }
+  double arrival_s() const { return event->time_s; }
+};
+
+// Residual capacity at `now` of every station and of each device the
+// batch touches (issuers and external owners): the universe capacity less
+// what running work holds, summed in start order.
+ResidualCapacity residual_at(const mec::Topology& universe,
+                             const Reconciler& recon,
+                             const std::vector<PendingTask>& batch,
+                             double now) {
+  ResidualCapacity out;
+  for (const PendingTask& p : batch) {
+    out.device_ids.push_back(p.task.id.user);
+    if (p.task.external_bytes > 0.0) {
+      out.device_ids.push_back(p.task.external_owner);
+    }
+  }
+  std::sort(out.device_ids.begin(), out.device_ids.end());
+  out.device_ids.erase(
+      std::unique(out.device_ids.begin(), out.device_ids.end()),
+      out.device_ids.end());
+  out.device.reserve(out.device_ids.size());
+  for (const std::size_t g : out.device_ids) {
+    out.device.push_back(universe.device(g).max_resource -
+                         recon.device_used(g, now));
+  }
+  out.station.reserve(universe.num_base_stations());
+  for (std::size_t b = 0; b < universe.num_base_stations(); ++b) {
+    out.station.push_back(universe.base_station(b).max_resource -
+                          recon.station_used(b, now));
+  }
+  return out;
+}
+
 }  // namespace
 
 ServeDaemon::ServeDaemon(ServeOptions options) : options_(std::move(options)) {}
@@ -152,7 +194,8 @@ ServeResult ServeDaemon::run(const mec::Topology& universe, const Trace& trace,
   std::vector<std::shared_ptr<const assign::Assignment>> warm(
       sharder.num_shards());
   // One per arrival, id = arrival ordinal; rejected ones are never admitted.
-  std::vector<PendingTask> pending;
+  std::vector<Arrival> pending;
+  pending.reserve(trace.arrivals());
 
   obs::Registry& reg = obs::Registry::global();
   obs::FlightRecorder& flight = obs::FlightRecorder::global();
@@ -164,17 +207,15 @@ ServeResult ServeDaemon::run(const mec::Topology& universe, const Trace& trace,
   const obs::ScopedTimer run_span("serve.run", "serve");
 
   const double budget_s = options_.epoch_budget_ms * 1e-3;
-  const std::size_t nd = universe.num_devices();
-  const std::size_t ns = universe.num_base_stations();
   double now = 0.0;
   std::size_t epoch = 0;
 
   // Logs a disposition without a placement; a terminal one (anything but
   // a retry) also becomes the task's outcome.
   auto settle = [&](std::size_t id, double t, DecisionKind kind) {
-    const PendingTask& p = pending[id];
+    const Arrival& p = pending[id];
     if (log != nullptr) {
-      log->append({epoch, t, p.task.id, kind, 0, Decision::kCancelled,
+      log->append({epoch, t, p.task().id, kind, 0, Decision::kCancelled,
                    p.attempts, 0.0, 0.0});
     }
     if (outcomes != nullptr && kind != DecisionKind::kRetry) {
@@ -196,17 +237,18 @@ ServeResult ServeDaemon::run(const mec::Topology& universe, const Trace& trace,
   // finish time.
   auto place = [&](std::size_t id, std::size_t shard, Decision d,
                    double latency_s, double energy_j) {
-    const PendingTask& p = pending[id];
+    const Arrival& p = pending[id];
+    const mec::Task& task = p.task();
     const double finish = now + latency_s;
-    const double wait_s = now - p.arrival_s;
+    const double wait_s = now - p.arrival_s();
     result.total_energy_j += energy_j;
     result.makespan_s = std::max(result.makespan_s, finish);
     ++result.decisions;
-    recon.start({id, finish, d, p.task.id.user, pop.station(p.task.id.user),
-                 p.task.resource, p.task.external_bytes > 0.0,
-                 p.task.external_owner});
+    recon.start({id, finish, d, task.id.user, pop.station(task.id.user),
+                 task.resource, task.external_bytes > 0.0,
+                 task.external_owner});
     if (log != nullptr) {
-      log->append({epoch, now, p.task.id, DecisionKind::kDecide, shard, d,
+      log->append({epoch, now, task.id, DecisionKind::kDecide, shard, d,
                    p.attempts, wait_s, energy_j});
     }
     if (outcomes != nullptr) {
@@ -232,7 +274,7 @@ ServeResult ServeDaemon::run(const mec::Topology& universe, const Trace& trace,
       }
       break;
     }
-    if (cursor.exhausted() && waiting.empty() && recon.running().empty()) {
+    if (cursor.exhausted() && waiting.empty() && recon.empty()) {
       break;
     }
 
@@ -240,11 +282,16 @@ ServeResult ServeDaemon::run(const mec::Topology& universe, const Trace& trace,
         "serve.epoch", "serve",
         obs::Tracer::global().enabled()
             ? "\"epoch\":" + std::to_string(epoch) +
-                  ",\"running\":" + std::to_string(recon.running().size()) +
+                  ",\"running\":" + std::to_string(recon.size()) +
                   ",\"waiting\":" + std::to_string(waiting.waiting())
             : std::string());
 
+    // Phase spans run back to back: each emplace ends the previous phase,
+    // so together they cover the epoch.
+    std::optional<obs::ScopedTimer> phase;
+
     // ---- 1. Ingest: close the window, replay its events in trace order.
+    phase.emplace("serve.ingest", "serve");
     Window w = cursor.next_window(now);
     now = w.close_s;
     result.virtual_now_s = now;
@@ -253,7 +300,7 @@ ServeResult ServeDaemon::run(const mec::Topology& universe, const Trace& trace,
       if (e.kind == EventKind::kTaskArrival) {
         ++result.arrivals;
         const std::size_t id = pending.size();
-        pending.push_back(PendingTask{id, e.task, e.time_s, 0});
+        pending.push_back({&e, 0});
         if (admission.offer(waiting.waiting())) {
           waiting.admit(id, epoch);
         } else {
@@ -279,21 +326,23 @@ ServeResult ServeDaemon::run(const mec::Topology& universe, const Trace& trace,
     ++result.epochs;
 
     // ---- 2. Triage the epoch batch.
+    phase.emplace("serve.triage", "serve");
     const std::vector<ReadmissionEntry> ready = waiting.take_ready(epoch);
     queue_depth.set(static_cast<double>(waiting.waiting()));
     if (ready.empty()) continue;
     ++result.decide_epochs;
 
-    std::vector<const PendingTask*> batch;
+    std::vector<PendingTask> batch;
     std::vector<double> residuals;
     for (const ReadmissionEntry& wte : ready) {
-      PendingTask& p = pending[wte.id];
+      Arrival& p = pending[wte.id];
       p.attempts = wte.attempts + 1;
-      const std::size_t issuer = p.task.id.user;
+      const mec::Task& task = p.task();
+      const std::size_t issuer = task.id.user;
       // Residual slack, net of the time this epoch's decision is allowed
       // to burn (the configured budget, for determinism).
       const double residual =
-          p.task.deadline_s - (now - p.arrival_s) - budget_s;
+          task.deadline_s - (now - p.arrival_s()) - budget_s;
       if (residual <= 0.0) {
         ++result.expired;
         settle(wte.id, now, DecisionKind::kExpire);
@@ -305,12 +354,12 @@ ServeResult ServeDaemon::run(const mec::Topology& universe, const Trace& trace,
         continue;
       }
       const std::size_t cell = pop.station(issuer);
-      if (p.task.external_bytes > 0.0 && !pop.up(p.task.external_owner)) {
+      if (task.external_bytes > 0.0 && !pop.up(task.external_owner)) {
         const std::optional<dta::DtaResult> div =
             shared == nullptr
                 ? std::nullopt
                 : rescue(universe, pop, *shared, shared->task_items[wte.id],
-                         p.task, residual);
+                         task, residual);
         if (div) {
           const double finish = now + div->processing_time_s;
           ++result.completed;
@@ -318,9 +367,10 @@ ServeResult ServeDaemon::run(const mec::Topology& universe, const Trace& trace,
           result.total_energy_j += div->total_energy_j;
           result.makespan_s = std::max(result.makespan_s, finish);
           if (log != nullptr) {
-            log->append({epoch, now, p.task.id, DecisionKind::kRescue,
+            log->append({epoch, now, task.id, DecisionKind::kRescue,
                          sharder.shard_of_station(cell), Decision::kLocal,
-                         p.attempts, now - p.arrival_s, div->total_energy_j});
+                         p.attempts, now - p.arrival_s(),
+                         div->total_energy_j});
           }
           if (outcomes != nullptr) {
             (*outcomes)[wte.id] = {DecisionKind::kRescue, Decision::kLocal,
@@ -337,18 +387,12 @@ ServeResult ServeDaemon::run(const mec::Topology& universe, const Trace& trace,
         // when the external data (if any) is fetched inside the cell.
         // Otherwise wait for the cell.
         const bool fetch_routable =
-            p.task.external_bytes <= 0.0 ||
-            pop.station(p.task.external_owner) == cell;
-        double used = 0.0;
-        for (const RunningTask& r : recon.running()) {
-          if (r.where == Decision::kLocal && r.issuer == issuer) {
-            used += r.resource;
-          }
-        }
-        const bool fits = used + p.task.resource <=
+            task.external_bytes <= 0.0 ||
+            pop.station(task.external_owner) == cell;
+        const bool fits = recon.device_used(issuer, now) + task.resource <=
                           universe.device(issuer).max_resource;
         if (fetch_routable && fits) {
-          const mec::CostEntry local = local_cost_now(universe, pop, p.task);
+          const mec::CostEntry local = local_cost_now(universe, pop, task);
           if (local.latency_s() <= residual) {
             place(wte.id, sharder.shard_of_station(cell), Decision::kLocal,
                   local.latency_s(), local.energy_j);
@@ -358,29 +402,20 @@ ServeResult ServeDaemon::run(const mec::Topology& universe, const Trace& trace,
         retry_or_exhaust(wte.id, now);
         continue;
       }
-      batch.push_back(&p);
+      batch.push_back({wte.id, task});
       residuals.push_back(residual);
     }
     if (batch.empty()) continue;
 
     // ---- 3. Shard against the residual system.
-    std::vector<double> dev_res(nd);
-    std::vector<double> st_res(ns);
-    {
-      std::vector<double> dev_used(nd, 0.0);
-      std::vector<double> st_used(ns, 0.0);
-      recon.occupancy(now, dev_used, st_used);
-      for (std::size_t g = 0; g < nd; ++g) {
-        dev_res[g] = universe.device(g).max_resource - dev_used[g];
-      }
-      for (std::size_t b = 0; b < ns; ++b) {
-        st_res[b] = universe.base_station(b).max_resource - st_used[b];
-      }
-    }
+    phase.emplace("serve.occupancy", "serve");
+    const ResidualCapacity capacity = residual_at(universe, recon, batch, now);
+    phase.emplace("serve.shard", "serve");
     const std::vector<ShardProblem> shards =
-        sharder.build(pop, dev_res, st_res, batch, residuals);
+        sharder.build(pop, capacity, batch, residuals);
 
     // ---- 4. Solve every shard in parallel under one epoch deadline.
+    phase.emplace("serve.solve", "serve");
     CancellationToken epoch_token = stop;
     if (options_.epoch_budget_ms > 0.0) {
       epoch_token =
@@ -449,6 +484,7 @@ ServeResult ServeDaemon::run(const mec::Topology& universe, const Trace& trace,
 
     // ---- 5. Apply in shard order: the decision log never sees the
     // worker schedule.
+    phase.emplace("serve.apply", "serve");
     for (std::size_t i = 0; i < shards.size(); ++i) {
       const ShardProblem& sp = shards[i];
       const ShardOutcome& oc = solved[i];

@@ -15,8 +15,9 @@
 //      caller passed a SharedDataView, else parked; a task whose cell is
 //      dark runs locally when that fits and meets its slack, else is
 //      parked;
-//   3. shard   — cut the survivors into per-neighborhood HtaInstances
-//      against the residual capacities (Sharder);
+//   3. shard   — price the residual capacity of every station and of the
+//      devices the batch touches (occupancy), then cut the survivors into
+//      per-neighborhood HtaInstances against it (Sharder);
 //   4. solve   — shards run in parallel on one long-lived thread pool,
 //      each through the FallbackChain under the shared epoch deadline
 //      (anytime degradation per shard), warm-started from the shard's
@@ -24,6 +25,11 @@
 //   5. apply   — outcomes are gathered and committed *in shard order*:
 //      placements start running (capacity reserved until the analytic
 //      finish time), cancellations go back to the waiting room.
+//
+// Each phase is one span inside `serve.epoch` (serve.ingest, .triage,
+// .occupancy, .shard, .solve, .apply), back to back. The serial phases
+// cost what the epoch changed — its events and its batch — not the
+// universe or the running set.
 //
 // Determinism contract: the virtual clock, batching, triage order,
 // sharding and the apply order are all independent of the worker count,

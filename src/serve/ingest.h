@@ -14,7 +14,7 @@
 #pragma once
 
 #include <cstddef>
-#include <vector>
+#include <span>
 
 #include "serve/event.h"
 
@@ -28,7 +28,9 @@ struct BatchingOptions {
 // One closed batching window.
 struct Window {
   double close_s = 0.0;       // the epoch boundary: decisions happen here
-  std::vector<Event> events;  // trace order, time_s <= close_s
+  // Trace order, time_s <= close_s: a view into the trace, valid while
+  // the trace lives.
+  std::span<const Event> events;
   bool closed_by_size = false;
 };
 

@@ -10,6 +10,16 @@
 // parallel — results are gathered and applied in shard order, which keeps
 // the decision log byte-identical at any worker count.
 //
+// A shard's device roster is only the devices its batch touches: the
+// issuers and the same-shard external owners, in ascending universe id,
+// then the halo owners. Every other device of the neighborhood would add
+// nothing to the problem — a cluster LP has a capacity row only for
+// issuers (ordered by local id, which the ascending relabelling keeps),
+// the cost model reads only the issuer, the owner and their cells, and
+// the greedy rungs index their load by issuer — so the LPs, and every
+// decision, are those of a roster of the whole neighborhood, at a cost
+// that follows the batch instead of the population.
+//
 // Shard-boundary data sharing is handled with *halo* entries: a task
 // whose external owner sits in another shard gets a zero-capacity copy of
 // the owner device (and, when needed, the owner's cell as a zero-capacity
@@ -31,12 +41,22 @@ struct ShardingOptions {
   std::size_t num_shards = 1;  // clamped to the station count at build
 };
 
-// An admitted task waiting for (or re-entering) a decision.
+// One task of an epoch batch.
 struct PendingTask {
-  std::size_t id = 0;       // daemon-scoped, dense
-  mec::Task task{};         // global ids; deadline_s as issued
-  double arrival_s = 0.0;   // admission time on the virtual clock
-  std::size_t attempts = 0; // admissions consumed so far
+  std::size_t id = 0;  // daemon-scoped, dense
+  mec::Task task{};    // global ids; deadline_s as issued
+};
+
+// Capacity left in the system at an epoch boundary, by universe id.
+// Devices are listed sparsely: the sharder reads only the devices the
+// batch touches, so only those need pricing.
+struct ResidualCapacity {
+  std::vector<std::size_t> device_ids;  // ascending, unique
+  std::vector<double> device;           // aligned with device_ids
+  std::vector<double> station;          // one per universe station
+
+  // Throws ModelError when device `id` is not listed.
+  double device_at(std::size_t id) const;
 };
 
 // One shard's cut of an epoch: a self-contained HTA problem.
@@ -45,7 +65,9 @@ struct ShardProblem {
   mec::Topology topology;  // local dense ids, residual capacities
   std::vector<mec::Task> tasks;          // user/owner remapped to local ids
   std::vector<std::size_t> task_ids;     // local task -> PendingTask::id
-  std::vector<std::size_t> device_global;  // local device -> universe id
+  // Local device -> universe id: the touched core devices in ascending
+  // id, then the halo owners in ascending id.
+  std::vector<std::size_t> device_global;
   std::size_t halo_devices = 0;          // trailing zero-capacity entries
 };
 
@@ -59,19 +81,17 @@ class Sharder {
   std::size_t shard_of_station(std::size_t station) const;
 
   // Cuts one epoch: routes each batch task to its issuer's shard, carves
-  // per-shard topologies out of the up population with the given residual
-  // capacities (indexed by universe ids; a down device's residual is
-  // ignored, a down station's is zero), prices every radio at its current
-  // link factor, and remaps ids. residual_deadline_s aligns with batch and
-  // overrides each task's deadline (the slack left after waiting). Shards
-  // with no tasks are omitted; the returned problems are in shard order.
-  // Every batch issuer — and every external owner — must be up (the
-  // daemon triages the rest away before building).
+  // per-shard topologies out of the devices the batch touches with the
+  // given residual capacities (a down station's is zero), prices every
+  // radio at its current link factor, and remaps ids. `residual` must list
+  // every issuer and every same-shard external owner. residual_deadline_s
+  // aligns with batch and overrides each task's deadline (the slack left
+  // after waiting). Shards with no tasks are omitted; the returned
+  // problems are in shard order. Every batch issuer — and every external
+  // owner — must be up (the daemon triages the rest away before building).
   std::vector<ShardProblem> build(
-      const Population& population,
-      const std::vector<double>& device_residual,
-      const std::vector<double>& station_residual,
-      const std::vector<const PendingTask*>& batch,
+      const Population& population, const ResidualCapacity& residual,
+      const std::vector<PendingTask>& batch,
       const std::vector<double>& residual_deadline_s) const;
 
  private:

@@ -108,6 +108,57 @@ TEST(ServeDaemonTest, WarmStartedReplayMatchesPinnedDigest) {
   EXPECT_EQ(log.digest(), 0x2460d8cf31dfc4f9ull);
 }
 
+// Pins the decision log of a replay whose every epoch tears running work
+// out: generated leaves and migrates at a high rate per device, plus one
+// station outage per epoch. Any change to how churn finds the tasks it
+// interrupts, in which order it reports them, or how residual capacity
+// is summed shows up here.
+TEST(ServeDaemonTest, ChurnHeavyReplayMatchesPinnedDigest) {
+  workload::ServeTraceConfig cfg;
+  cfg.scenario.num_devices = 40;
+  cfg.scenario.num_base_stations = 4;
+  cfg.scenario.seed = 23;
+  cfg.epochs = 8;
+  cfg.epoch_s = 0.5;
+  cfg.arrival_rate_per_s = 160.0;
+  cfg.join_rate_per_s = 16.0;
+  cfg.leave_rate_per_s = 16.0;
+  cfg.migrate_rate_per_s = 16.0;
+  const workload::ServeWorkload w = workload::make_serve_workload(cfg);
+  std::vector<Event> events = w.trace.events();
+  for (std::size_t e = 0; e < cfg.epochs; ++e) {
+    const double t0 = static_cast<double>(e) * cfg.epoch_s;
+    events.push_back(Event::station_fail(t0 + 0.2, e % 4));
+    events.push_back(Event::station_recover(t0 + 0.4, e % 4));
+  }
+  const Trace trace(std::move(events));
+
+  ServeOptions opts;
+  opts.sharding.num_shards = 2;
+  opts.jobs = 2;
+  DecisionLog log;
+  const ServeResult r = ServeDaemon(opts).run(w.universe, trace, &log);
+
+  // Every epoch after the first interrupts running work at ingest: its
+  // log holds an orphan or lost-issuer record stamped before the epoch's
+  // boundary (triage records carry the boundary itself).
+  std::vector<bool> interrupted(r.epochs, false);
+  for (const DecisionRecord& rec : log.records()) {
+    const bool churn_fate = rec.kind == DecisionKind::kRetry ||
+                            rec.kind == DecisionKind::kExhausted ||
+                            rec.kind == DecisionKind::kLostIssuer;
+    const double boundary =
+        static_cast<double>(rec.epoch + 1) * opts.batching.window_s;
+    if (churn_fate && rec.time_s < boundary) interrupted[rec.epoch] = true;
+  }
+  for (std::size_t e = 1; e < cfg.epochs; ++e) {
+    EXPECT_TRUE(interrupted[e]) << "epoch " << e;
+  }
+  EXPECT_GT(r.orphaned, cfg.epochs);
+  EXPECT_GT(r.decisions, 0u);
+  EXPECT_EQ(log.digest(), 0x7fa32e4ea7f23711ull);
+}
+
 TEST(ServeDaemonTest, AdmittedTasksAllReachExactlyOneTerminalState) {
   const workload::ServeWorkload w = churny_workload();
   ServeOptions opts;

@@ -297,6 +297,51 @@ TEST(ServeFaultTest, DarkCellParksTasksWhoseFetchLeavesTheCell) {
   EXPECT_GE(r.result.retries, 1u);
 }
 
+TEST(ServeFaultTest, DarkCellChargesOnlyTheIssuersOwnLocalRuns) {
+  // Cell 1 stays dark. Every device runs long local work, each filling
+  // its own capacity except issuer x, whose long run holds half of its
+  // capacity. Two light tasks of x then meet the dark-cell fit check in
+  // one batch: the first fits beside x's own run — the other devices'
+  // work is not x's to carry — and the second no longer fits once the
+  // first has started, so it waits.
+  workload::TimedScenario s{topology(), {}};
+  const std::size_t x = s.topology.cluster(1)[0];
+  const double cap = s.topology.device(x).max_resource;
+  for (std::size_t dev = 0; dev < s.topology.num_devices(); ++dev) {
+    mec::Task heavy = task(dev, 0, 1e6, 0.0, dev, 60.0);
+    heavy.cycles_per_byte = 33000.0;
+    heavy.resource =
+        dev == x ? 0.5 * cap : s.topology.device(dev).max_resource;
+    s.tasks.push_back({heavy, 0.0});
+  }
+  mec::Task light = task(x, 1, 50e3, 0.0, x, 20.0);
+  light.resource = 0.4 * cap;
+  s.tasks.push_back({light, 0.7});
+  light.id.index = 2;
+  light.resource = 0.2 * cap;
+  s.tasks.push_back({light, 0.7});
+  const FaultSchedule faults({{0.0, FaultKind::kStationFail, 1, 1.0}});
+  const FaultRun r = run_faults(fault_options(), s, faults);
+
+  const std::size_t n = s.topology.num_devices();
+  ASSERT_EQ(r.outcomes[x].fate, DecisionKind::kDecide);
+  EXPECT_EQ(r.outcomes[x].decision, Decision::kLocal);
+  EXPECT_DOUBLE_EQ(r.outcomes[x].start_s, 0.5);
+  // Long work runs on every other device of the dark cell too.
+  for (const std::size_t dev : s.topology.cluster(1)) {
+    ASSERT_EQ(r.outcomes[dev].fate, DecisionKind::kDecide);
+    EXPECT_EQ(r.outcomes[dev].decision, Decision::kLocal);
+    EXPECT_GT(r.outcomes[dev].finish_s, 2.0);
+  }
+  ASSERT_EQ(r.outcomes[n].fate, DecisionKind::kDecide);
+  EXPECT_EQ(r.outcomes[n].decision, Decision::kLocal);
+  EXPECT_DOUBLE_EQ(r.outcomes[n].start_s, 1.0);
+  ASSERT_EQ(r.outcomes[n + 1].fate, DecisionKind::kDecide);
+  EXPECT_EQ(r.outcomes[n + 1].decision, Decision::kLocal);
+  EXPECT_GT(r.outcomes[n + 1].start_s, 1.0);
+  EXPECT_GE(r.outcomes[n + 1].attempts, 2u);
+}
+
 TEST(ServeFaultTest, LinkFadeRepricesTheRadio) {
   // A compute-heavy task offloads; with its issuer's link faded to a
   // quarter, the placement is priced on the faded radio.

@@ -143,12 +143,10 @@ TEST(ReconcilerTest, OccupancyChargesDevicesForLocalAndStationsForEdge) {
   rec.start(running(2, assign::Decision::kEdge, 5.0));
   rec.start(running(3, assign::Decision::kCloud, 5.0));
   rec.start(running(4, assign::Decision::kEdge, 0.5));  // already finished
-  std::vector<double> dev(2, 0.0), sta(2, 0.0);
-  rec.occupancy(1.0, dev, sta);
-  EXPECT_DOUBLE_EQ(dev[0], 2.0);  // the local run
-  EXPECT_DOUBLE_EQ(sta[0], 2.0);  // the live edge run only
-  EXPECT_DOUBLE_EQ(dev[1], 0.0);
-  EXPECT_DOUBLE_EQ(sta[1], 0.0);
+  EXPECT_DOUBLE_EQ(rec.device_used(0, 1.0), 2.0);   // the local run
+  EXPECT_DOUBLE_EQ(rec.station_used(0, 1.0), 2.0);  // the live edge run only
+  EXPECT_DOUBLE_EQ(rec.device_used(1, 1.0), 0.0);
+  EXPECT_DOUBLE_EQ(rec.station_used(1, 1.0), 0.0);
 }
 
 TEST(ReconcilerTest, CollectCompletionsReturnsStartOrder) {
