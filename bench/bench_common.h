@@ -17,7 +17,7 @@
 #include <sstream>
 #include <string>
 
-#include "exec/thread_pool.h"
+#include "cli/sweep_grids.h"
 #include "metrics/series.h"
 #include "obs/export.h"
 #include "obs/flight_recorder.h"
@@ -26,17 +26,11 @@
 
 namespace mecsched::bench {
 
-// Default experiment scale mirroring Sec. V.A: 50 devices, 5 base
-// stations; 3 seeds per cell for smoothing.
-inline constexpr std::size_t kDevices = 50;
-inline constexpr std::size_t kStations = 5;
-inline constexpr std::size_t kRepetitions = 3;
-
-// Worker count for the sweep fan-out (exec::SweepRunner): MECSCHED_JOBS
-// when set, otherwise all hardware threads. The figure tables are
-// byte-identical at every job count, so MECSCHED_JOBS is purely a
-// wall-clock knob.
-inline std::size_t sweep_jobs() { return exec::ThreadPool::default_jobs(); }
+// Default experiment scale mirroring Sec. V.A (50 devices, 5 base
+// stations, 3 seeds per cell), as the figure grids define it.
+using cli::kDevices;
+using cli::kRepetitions;
+using cli::kStations;
 
 inline void print_header(const std::string& figure, const std::string& title,
                          const std::string& setup) {

@@ -7,13 +7,8 @@
 // grow.
 #include <iostream>
 
-#include "assign/evaluator.h"
-#include "assign/hta_instance.h"
-#include "assign/lp_hta.h"
 #include "bench/bench_common.h"
-#include "dta/pipeline.h"
-#include "metrics/series.h"
-#include "workload/shared_data.h"
+#include "cli/sweep_grids.h"
 
 int main() {
   const mecsched::bench::ObsSession obs_session("fig5a_dta_energy_vs_tasks");
@@ -22,35 +17,8 @@ int main() {
                       "tasks 100..450, max input 3000 kB, eta 0.2, "
                       "50 devices, 5 stations, 3 seeds/cell");
 
-  metrics::SeriesCollector series(
-      "tasks", {"LP-HTA", "DTA-Workload", "DTA-Number"});
-
-  for (double x = 100; x <= 450; x += 50) {
-    for (std::uint64_t rep = 1; rep <= bench::kRepetitions; ++rep) {
-      workload::SharedDataConfig cfg;
-      cfg.num_devices = bench::kDevices;
-      cfg.num_base_stations = bench::kStations;
-      cfg.num_tasks = static_cast<std::size_t>(x);
-      cfg.num_items = 600;
-      cfg.max_extra_owners = 5;
-      cfg.max_input_kb = 3000.0;
-      cfg.seed = rep * 1000 + static_cast<std::uint64_t>(x);
-      const auto scenario = workload::make_shared_scenario(cfg);
-
-      dta::DtaOptions opts;
-      opts.scheduler = dta::PartialScheduler::kLocalGreedy;
-      opts.strategy = dta::DtaStrategy::kWorkload;
-      series.add(x, "DTA-Workload",
-                 dta::run_dta(scenario, opts).total_energy_j);
-      opts.strategy = dta::DtaStrategy::kNumber;
-      series.add(x, "DTA-Number", dta::run_dta(scenario, opts).total_energy_j);
-
-      const assign::HtaInstance inst(scenario.topology,
-                                     dta::to_holistic_tasks(scenario));
-      const auto a = assign::LpHta().assign(inst);
-      series.add(x, "LP-HTA", assign::evaluate(inst, a).total_energy_j);
-    }
-  }
+  const metrics::SeriesCollector series = cli::run_grid(
+      *cli::find_sweep_grid("fig5a"), bench::kRepetitions);
 
   std::cout << "total energy (J):\n";
   bench::print_table(series, 1);

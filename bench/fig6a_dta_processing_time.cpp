@@ -6,9 +6,7 @@
 #include <iostream>
 
 #include "bench/bench_common.h"
-#include "dta/pipeline.h"
-#include "metrics/series.h"
-#include "workload/shared_data.h"
+#include "cli/sweep_grids.h"
 
 int main() {
   const mecsched::bench::ObsSession obs_session("fig6a_dta_processing_time");
@@ -17,31 +15,9 @@ int main() {
                       "input 1200..2000 kB, 200 tasks, 50 devices, "
                       "5 stations, 3 seeds/cell");
 
-  metrics::SeriesCollector series("max input (kB)",
-                                  {"DTA-Workload", "DTA-Number"});
-
-  for (double kb = 1200; kb <= 2000; kb += 200) {
-    for (std::uint64_t rep = 1; rep <= bench::kRepetitions; ++rep) {
-      workload::SharedDataConfig cfg;
-      cfg.num_devices = bench::kDevices;
-      cfg.num_base_stations = bench::kStations;
-      cfg.num_tasks = 200;
-      cfg.num_items = 600;
-      cfg.max_extra_owners = 5;
-      cfg.max_input_kb = kb;
-      cfg.seed = rep * 1000 + static_cast<std::uint64_t>(kb);
-      const auto scenario = workload::make_shared_scenario(cfg);
-
-      dta::DtaOptions opts;
-      opts.scheduler = dta::PartialScheduler::kLocalGreedy;
-      opts.strategy = dta::DtaStrategy::kWorkload;
-      series.add(kb, "DTA-Workload",
-                 dta::run_dta(scenario, opts).processing_time_s);
-      opts.strategy = dta::DtaStrategy::kNumber;
-      series.add(kb, "DTA-Number",
-                 dta::run_dta(scenario, opts).processing_time_s);
-    }
-  }
+  const cli::SweepGrid& grid = *cli::find_sweep_grid("fig6a");
+  const metrics::SeriesCollector series =
+      cli::run_grid(grid, bench::kRepetitions);
 
   std::cout << "processing time (s):\n";
   bench::print_table(series, 3);
@@ -49,7 +25,7 @@ int main() {
 
   bench::ShapeChecker check;
   const auto at = [&](double x, const char* s) { return series.mean(x, s); };
-  for (double kb = 1200; kb <= 2000; kb += 200) {
+  for (const double kb : grid.xs) {
     check.expect(at(kb, "DTA-Workload") < at(kb, "DTA-Number"),
                  "workload-balanced division is faster at " +
                      Table::num(kb, 0) + " kB");

@@ -6,9 +6,7 @@
 #include <iostream>
 
 #include "bench/bench_common.h"
-#include "dta/pipeline.h"
-#include "metrics/series.h"
-#include "workload/shared_data.h"
+#include "cli/sweep_grids.h"
 
 int main() {
   const mecsched::bench::ObsSession obs_session("fig6b_dta_involved_devices");
@@ -17,34 +15,9 @@ int main() {
                       "tasks 100..900, max input 2000 kB, 50 devices, "
                       "5 stations, 3 seeds/cell");
 
-  metrics::SeriesCollector series("tasks", {"DTA-Workload", "DTA-Number"});
-
-  for (double t = 100; t <= 900; t += 200) {
-    for (std::uint64_t rep = 1; rep <= bench::kRepetitions; ++rep) {
-      workload::SharedDataConfig cfg;
-      cfg.num_devices = bench::kDevices;
-      cfg.num_base_stations = bench::kStations;
-      cfg.num_tasks = static_cast<std::size_t>(t);
-      cfg.num_items = 600;
-      // Heavy replication (overlapping monitoring regions) gives the
-      // set-cover strategy room to concentrate work on few devices.
-      cfg.max_extra_owners = 9;
-      cfg.max_input_kb = 2000.0;
-      cfg.seed = rep * 1000 + static_cast<std::uint64_t>(t);
-      const auto scenario = workload::make_shared_scenario(cfg);
-
-      dta::DtaOptions opts;
-      opts.scheduler = dta::PartialScheduler::kLocalGreedy;
-      opts.strategy = dta::DtaStrategy::kWorkload;
-      series.add(t, "DTA-Workload",
-                 static_cast<double>(
-                     dta::run_dta(scenario, opts).involved_devices));
-      opts.strategy = dta::DtaStrategy::kNumber;
-      series.add(t, "DTA-Number",
-                 static_cast<double>(
-                     dta::run_dta(scenario, opts).involved_devices));
-    }
-  }
+  const cli::SweepGrid& grid = *cli::find_sweep_grid("fig6b");
+  const metrics::SeriesCollector series =
+      cli::run_grid(grid, bench::kRepetitions);
 
   std::cout << "involved mobile devices:\n";
   bench::print_table(series, 1);
@@ -52,7 +25,7 @@ int main() {
 
   bench::ShapeChecker check;
   const auto at = [&](double x, const char* s) { return series.mean(x, s); };
-  for (double t = 100; t <= 900; t += 200) {
+  for (const double t : grid.xs) {
     check.expect(at(t, "DTA-Number") < at(t, "DTA-Workload"),
                  "set-cover division involves fewer devices at " +
                      Table::num(t, 0) + " tasks");

@@ -23,6 +23,7 @@
 #include <limits>
 
 #include "bench_common.h"
+#include "exec/thread_pool.h"
 #include "obs/registry.h"
 #include "serve/daemon.h"
 #include "workload/serve_trace.h"
@@ -121,7 +122,7 @@ int main() {
   serve::ServeOptions opts;
   opts.batching.window_s = kEpochSeconds;
   opts.sharding.num_shards = 16;
-  opts.jobs = bench::sweep_jobs();
+  opts.jobs = exec::ThreadPool::default_jobs();
 
   const auto run0 = std::chrono::steady_clock::now();
   const serve::ServeResult r = serve::ServeDaemon(opts).run(w.universe, w.trace);

@@ -256,8 +256,8 @@ std::string usage() {
       "  dta       --scenario shared.json [--strategy workload|workload-bytes"
       "|number]\n"
       "            [--scheduler lp-hta|greedy] [--out result.json]\n"
-      "  sweep     [--grid fig2a|fig2b|fig3|fig4a|fig4b|smoke] [--reps N]\n"
-      "            [--csv] [--out series.csv] [--list]\n"
+      "  sweep     [--grid fig2a|fig2b|fig3|fig4a|fig4b|fig5a|fig5b|fig6a|\n"
+      "            fig6b|smoke] [--reps N] [--csv] [--out series.csv] [--list]\n"
       "  chaos     [--cells N] [--tasks N] [--devices N] [--stations N]\n"
       "            [--seed S] [--stall-prob P] [--nan-prob P]\n"
       "            [--cancel-prob P] [--error-prob P] [--csv]\n"
@@ -714,7 +714,7 @@ int cmd_sweep(const std::vector<std::string>& tokens, std::ostream& out) {
   const SweepGrid* grid = find_sweep_grid(grid_name);
   MECSCHED_REQUIRE(grid != nullptr,
                    "unknown grid: " + grid_name + " (see sweep --list)");
-  const std::size_t reps = args.get_count("reps", 3);
+  const std::size_t reps = args.get_count("reps", kRepetitions);
   MECSCHED_REQUIRE(reps > 0, "--reps must be positive");
 
   const metrics::SeriesCollector series = run_grid(*grid, reps);

@@ -404,7 +404,8 @@ TEST_F(CliTest, ExactAlgorithmOnTinyScenario) {
 TEST_F(CliTest, SweepListsGrids) {
   ASSERT_EQ(run_cli({"sweep", "--list"}), 0) << err_.str();
   for (const char* grid :
-       {"fig2a", "fig2b", "fig3", "fig4a", "fig4b", "smoke"}) {
+       {"fig2a", "fig2b", "fig3", "fig4a", "fig4b", "fig5a", "fig5b", "fig6a",
+        "fig6b", "smoke"}) {
     EXPECT_NE(out_.str().find(grid), std::string::npos) << grid;
   }
 }
